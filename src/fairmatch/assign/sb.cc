@@ -7,6 +7,7 @@
 #include "fairmatch/common/stats.h"
 #include "fairmatch/common/timer.h"
 #include "fairmatch/engine/exec_context.h"
+#include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch {
 
@@ -73,8 +74,12 @@ AssignResult SBAssignment::Run() {
 
   if (options_.best_pair_mode == BestPairMode::kThresholdAlgorithm) {
     if (fn_index_ == nullptr) {
-      owned_lists_ = std::make_unique<FunctionLists>(&fns);
-      fn_index_ = owned_lists_.get();
+      if (options_.ta.impact_ordered && !fns.empty()) {
+        owned_index_ = std::make_unique<PackedFunctionStore>(fns);
+      } else {
+        owned_index_ = std::make_unique<FunctionLists>(&fns);
+      }
+      fn_index_ = owned_index_.get();
     }
     rt1_ = std::make_unique<ReverseTop1>(fn_index_, options_.ta);
   }

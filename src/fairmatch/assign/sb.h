@@ -51,9 +51,11 @@ struct SBOptions {
 class SBAssignment {
  public:
   /// `tree` must contain exactly the problem's objects. If `fn_index` is
-  /// null an in-memory FunctionLists index is built (its construction
-  /// time is charged to the run, matching the paper's accounting);
-  /// passing a DiskFunctionStore yields the disk-resident-F setting.
+  /// null an in-memory index is built and its construction time is
+  /// charged to the run, matching the paper's accounting: an anonymous
+  /// PackedFunctionStore image when `options.ta.impact_ordered` is set,
+  /// the paper's FunctionLists for the entry-at-a-time TA otherwise.
+  /// Passing a DiskFunctionStore yields the disk-resident-F setting.
   /// When `ctx` is given, search-structure memory is reported to its
   /// shared MemoryTracker (engine/exec_context.h) instead of a private
   /// one.
@@ -83,7 +85,7 @@ class SBAssignment {
   FunctionIndexBase* fn_index_;
   ExecContext* ctx_;
 
-  std::unique_ptr<FunctionLists> owned_lists_;
+  std::unique_ptr<FunctionIndexBase> owned_index_;
   std::unique_ptr<ReverseTop1> rt1_;
   std::vector<uint8_t> assigned_;  // function capacity exhausted
   std::vector<int> fcap_;

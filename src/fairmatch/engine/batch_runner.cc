@@ -162,7 +162,6 @@ AssignResult RunGeneratedInstance(const std::string& matcher_name,
                    disk);
     fstore->disk().set_io_latency_us(spec.io_latency_us);
     env.fn_store = &*fstore;
-    ctx.set_function_backend("disk");
   } else if (spec.packed_functions) {
     mem_store.emplace(problem.dims);
     tree.emplace(&*mem_store);
@@ -171,7 +170,6 @@ AssignResult RunGeneratedInstance(const std::string& matcher_name,
     popts.use_mmap = spec.packed_mmap;
     pstore.emplace(problem.functions, popts);
     env.packed_fns = &*pstore;
-    ctx.set_function_backend(pstore->mapped() ? "packed-mmap" : "packed");
   } else {
     paged_store.emplace(problem.dims, /*buffer_frames=*/4096,
                         &ctx.counters(), disk);

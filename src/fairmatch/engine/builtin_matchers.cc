@@ -95,13 +95,26 @@ RunFn RunSBWith(SBOptions options) {
   };
 }
 
+/// SB with the impact-ordered reverse top-1. Index: the disk-resident
+/// lists when given (unchanged counted I/O: the traversal only applies
+/// to packed indexes), else the caller's packed image (a resident
+/// dataset's shared view), else an anonymous image SB builds itself.
+AssignResult RunImpactOrderedSB(const MatcherEnv& env) {
+  SBOptions options;
+  options.ta.impact_ordered = true;
+  FunctionIndexBase* index = env.fn_store;
+  if (index == nullptr) index = env.packed_fns;
+  SBAssignment sb(env.problem, env.tree, options, index, env.ctx);
+  return sb.Run();
+}
+
 }  // namespace
 
 void RegisterBuiltinMatchers(MatcherRegistry* registry) {
   // --- the SB family ---------------------------------------------------
   registry->Register(Variant(
       "SB", "skyline-based assignment, fully optimized (Algorithms 1 & 3)",
-      RunSBWith(SBOptions{})));
+      RunImpactOrderedSB));
   {
     SBOptions o;
     o.multi_pair = false;
@@ -152,14 +165,8 @@ void RegisterBuiltinMatchers(MatcherRegistry* registry) {
   {
     MatcherInfo info = Variant(
         "SB-Packed",
-        "SB over packed function lists with the impact-ordered block "
-        "traversal (topk/packed_function_lists.h)",
-        [](const MatcherEnv& env) {
-          SBOptions o;
-          o.ta.impact_ordered = true;
-          SBAssignment sb(env.problem, env.tree, o, env.packed_fns, env.ctx);
-          return sb.Run();
-        });
+        "SB that requires a resident packed image (same runner as SB)",
+        RunImpactOrderedSB);
     info.needs_packed_functions = true;
     registry->Register(std::move(info));
   }

@@ -87,16 +87,6 @@ class ExecContext {
     return false;
   }
 
-  /// Which function-index backend the run's environment was assembled
-  /// with: "lists" (in-memory, the default), "disk"
-  /// (DiskFunctionStore), "packed" or "packed-mmap"
-  /// (PackedFunctionStore). Purely descriptive — set by whoever builds
-  /// the MatcherEnv, read by bench report rows and diagnostics.
-  void set_function_backend(const char* backend) {
-    function_backend_ = backend;
-  }
-  const char* function_backend() const { return function_backend_; }
-
   /// Restarts the wall clock and zeroes the memory tracker. Does NOT
   /// reset counters(): storage objects own their measured-phase resets
   /// (e.g. PagedNodeStore::ResetCounters after bulk load), and a fresh
@@ -128,7 +118,6 @@ class ExecContext {
   ErrorSink errors_;
   std::chrono::steady_clock::time_point deadline_;
   bool deadline_armed_ = false;
-  const char* function_backend_ = "lists";
 };
 
 }  // namespace fairmatch

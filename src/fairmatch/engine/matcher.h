@@ -40,9 +40,9 @@ struct MatcherEnv {
   DiskFunctionStore* fn_store = nullptr;
 
   /// Packed block-compressed function lists
-  /// (topk/packed_function_lists.h). Required by the *-Packed variants,
-  /// which traverse its blocks in impact order; ignored by everything
-  /// else.
+  /// (topk/packed_function_lists.h). Required by the *-Packed variants;
+  /// SB traverses its blocks in impact order when set and `fn_store` is
+  /// not; ignored by everything else.
   PackedFunctionStore* packed_fns = nullptr;
 
   /// Buffer fraction for a matcher's private disk structures (Chain's

@@ -63,6 +63,31 @@ size_t ResidentDataset::memory_bytes() const {
   return bytes;
 }
 
+RequestEnv::RequestEnv(const ResidentDataset& dataset, const MatcherInfo& info,
+                       bool disk_functions, double buffer_fraction,
+                       ExecContext* ctx, DiskManager* disk) {
+  const AssignmentProblem& problem = dataset.problem();
+  env_.problem = &problem;
+  env_.tree = dataset.tree();
+  env_.buffer_fraction = buffer_fraction;
+  env_.ctx = ctx;
+  if (info.mutates_tree) {
+    private_store_.emplace(problem.dims);
+    private_tree_.emplace(&*private_store_);
+    BuildObjectTree(problem, &*private_tree_);
+    env_.tree = &*private_tree_;
+  }
+  if (info.needs_disk_functions || disk_functions) {
+    fn_store_.emplace(problem.functions, buffer_fraction,
+                      ctx != nullptr ? &ctx->counters() : nullptr, disk);
+    env_.fn_store = &*fn_store_;
+  }
+  if (dataset.packed() != nullptr) {
+    packed_view_ = PackedFunctionStore::NewSharedView(*dataset.packed());
+    env_.packed_fns = packed_view_.get();
+  }
+}
+
 DatasetHandle DatasetRegistry::Open(const std::string& name,
                                     const AssignmentProblem& problem,
                                     const DatasetOptions& options) {

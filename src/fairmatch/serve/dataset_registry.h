@@ -27,14 +27,17 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
 #include "fairmatch/common/status.h"
+#include "fairmatch/engine/registry.h"
 #include "fairmatch/rtree/node_store.h"
 #include "fairmatch/rtree/rtree.h"
 #include "fairmatch/serve/status.h"
+#include "fairmatch/topk/disk_function_lists.h"
 #include "fairmatch/topk/packed_function_lists.h"
 
 namespace fairmatch::serve {
@@ -42,8 +45,8 @@ namespace fairmatch::serve {
 /// Build knobs for one resident dataset.
 struct DatasetOptions {
   /// Build the packed function image (required to serve the *-Packed
-  /// variants). Off saves the build for datasets that only serve the
-  /// in-memory-list matchers.
+  /// variants; SB probes it when present). Off saves the build and the
+  /// resident bytes; SB then builds an anonymous image per request.
   bool build_packed = true;
 
   /// Route the packed image through a file + read-only mapping instead
@@ -140,6 +143,32 @@ class ResidentDataset {
 /// Shared ownership of a resident dataset. Copying shares; the dataset
 /// is destroyed when the registry entry and every handle are gone.
 using DatasetHandle = std::shared_ptr<const ResidentDataset>;
+
+/// One request's matcher environment over a resident dataset, assembled
+/// the same way for server lanes and update::RunOnDataset: a private
+/// tree for tree-mutating matchers, a DiskFunctionStore when the matcher
+/// needs one or `disk_functions` is set, and a shared view of the packed
+/// image whenever the dataset has one. `ctx` and `disk` (a lane's
+/// recycled DiskManager) are optional. env() points into the members,
+/// so the object stays in place.
+class RequestEnv {
+ public:
+  RequestEnv(const ResidentDataset& dataset, const MatcherInfo& info,
+             bool disk_functions, double buffer_fraction,
+             ExecContext* ctx = nullptr, DiskManager* disk = nullptr);
+
+  RequestEnv(const RequestEnv&) = delete;
+  RequestEnv& operator=(const RequestEnv&) = delete;
+
+  const MatcherEnv& env() const { return env_; }
+
+ private:
+  MatcherEnv env_;
+  std::optional<MemNodeStore> private_store_;
+  std::optional<RTree> private_tree_;
+  std::optional<DiskFunctionStore> fn_store_;
+  std::unique_ptr<PackedFunctionStore> packed_view_;
+};
 
 /// Name-keyed registry of resident datasets. All methods are
 /// thread-safe (one mutex; builds happen outside hot paths).

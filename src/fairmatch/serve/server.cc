@@ -9,7 +9,6 @@
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/timer.h"
 #include "fairmatch/engine/registry.h"
-#include "fairmatch/topk/disk_function_lists.h"
 
 namespace fairmatch::serve {
 
@@ -375,40 +374,13 @@ ServeStatus Server::RunAttempt(Pending* pending, LaneWorkspace* workspace,
                              pending->since_submit.ElapsedMs())));
   }
 
-  MatcherEnv env;
-  env.problem = &dataset.problem();
-  env.tree = dataset.tree();
-  env.buffer_fraction = request.buffer_fraction;
-  env.ctx = &ctx;
-
-  std::optional<MemNodeStore> private_store;
-  std::optional<RTree> private_tree;
-  if (info->mutates_tree) {
-    private_store.emplace(dataset.problem().dims);
-    private_tree.emplace(&*private_store);
-    BuildObjectTree(dataset.problem(), &*private_tree);
-    env.tree = &*private_tree;
-  }
-
-  std::optional<DiskFunctionStore> fstore;
-  if (info->needs_disk_functions || request.disk_resident_functions) {
-    fstore.emplace(dataset.problem().functions, request.buffer_fraction,
-                   &ctx.counters(), &lane_disk);
-    env.fn_store = &*fstore;
-    ctx.set_function_backend("disk");
-  }
-
-  std::unique_ptr<PackedFunctionStore> packed_view;
-  if (info->needs_packed_functions) {
-    packed_view = PackedFunctionStore::NewSharedView(*dataset.packed());
-    env.packed_fns = packed_view.get();
-    ctx.set_function_backend(dataset.packed()->mapped() ? "packed-mmap"
-                                                        : "packed");
-  }
+  const RequestEnv request_env(dataset, *info,
+                               request.disk_resident_functions,
+                               request.buffer_fraction, &ctx, &lane_disk);
 
   ServeStatus status;
   std::unique_ptr<Matcher> matcher =
-      MatcherRegistry::Global().Create(request.matcher, env);
+      MatcherRegistry::Global().Create(request.matcher, request_env.env());
   if (matcher == nullptr) {
     // Validate() checks every Create precondition, so this is
     // unreachable today; kept as a typed error so a future

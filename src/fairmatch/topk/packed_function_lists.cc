@@ -520,12 +520,18 @@ bool PackedFunctionStore::Attach(const std::byte* data, size_t size,
   for (DecodeCache& c : cache_) c.fids.resize(block_entries);
 
   // Walk every block: offsets in bounds, headers well-formed, counts
-  // exactly as the list length dictates, impacts non-increasing (the
-  // invariant the impact-ordered traversal's early termination relies
-  // on), and — when opening an untrusted file — checksums and decoded
-  // id ranges.
+  // exactly as the list length dictates, impacts non-increasing, and —
+  // when opening an untrusted file — checksums plus the decoded
+  // contents: every id in range and listed once per list (with the
+  // exact counts, a permutation of [0, n)), and no entry's coefficient
+  // above its block's max impact. Descending impacts that bound their
+  // entries are what the impact-ordered traversal's early termination
+  // relies on; a consistent but wrong bound would silently end a scan
+  // early.
   std::vector<int32_t> scratch(block_entries);
+  std::vector<uint8_t> listed;
   for (int d = 0; d < dims; ++d) {
+    if (verify_checksums) listed.assign(n, 0);
     double prev_impact = 0.0;
     for (int b = 0; b < num_blocks; ++b) {
       const size_t off = BlockOffset(d, b);
@@ -563,9 +569,19 @@ bool PackedFunctionStore::Attach(const std::byte* data, size_t size,
                         bh.id_bytes, bh.base_fid,
                         static_cast<int>(bh.count), scratch.data());
         for (uint32_t i = 0; i < bh.count; ++i) {
-          if (scratch[i] < 0 || scratch[i] >= n) {
+          const int32_t fid = scratch[i];
+          if (fid < 0 || fid >= n) {
             return fail(PackedOpenError::kBadBlock,
                         "decoded function id out of range");
+          }
+          if (listed[fid]++ != 0) {
+            return fail(PackedOpenError::kBadBlock,
+                        "function id listed twice in one list");
+          }
+          // Negated so a NaN impact or coefficient fails too.
+          if (!(eff_of(fid, d) <= bh.max_impact)) {
+            return fail(PackedOpenError::kBadBlock,
+                        "entry coefficient above its block's max impact");
           }
         }
       }

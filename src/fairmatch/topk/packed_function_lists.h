@@ -39,8 +39,10 @@
 // the TA threshold.
 //
 // Integrity: every block carries a CRC32 over its (zero-checksummed)
-// header and payload, verified on Open() along with structural bounds,
-// so a corrupt or truncated file is rejected before any query runs.
+// header and payload, verified on Open() along with structural bounds
+// and the decoded contents (each list a permutation of the ids, each
+// block's max impact bounding its entries), so a corrupt, truncated or
+// inconsistent file is rejected before any query runs.
 #ifndef FAIRMATCH_TOPK_PACKED_FUNCTION_LISTS_H_
 #define FAIRMATCH_TOPK_PACKED_FUNCTION_LISTS_H_
 
@@ -137,8 +139,8 @@ class PackedFunctionStore : public FunctionIndexBase {
   explicit PackedFunctionStore(const FunctionSet& fns,
                                PackedStoreOptions opts = {});
 
-  /// Opens an existing packed file, verifying structure and per-block
-  /// checksums. Returns nullptr (with a one-line `error` and, when
+  /// Opens an existing packed file, verifying structure, per-block
+  /// checksums and decoded block contents. Returns nullptr (with a one-line `error` and, when
   /// `error_code` is non-null, the failure class) on any malformed,
   /// truncated or corrupt image.
   static std::unique_ptr<PackedFunctionStore> Open(

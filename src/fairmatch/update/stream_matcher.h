@@ -40,12 +40,9 @@
 namespace fairmatch::update {
 
 /// Runs registered matcher `matcher` directly against a resident
-/// dataset (no server queue): the environment is assembled exactly like
-/// the serve path — the shared tree (a private rebuilt tree for
-/// mutates_tree matchers), a disk-resident function store where the
-/// variant needs one, a private shared view of the packed image where
-/// it needs that. The *-Packed variants require dataset.packed() to be
-/// non-null.
+/// dataset (no server queue), in the environment a server lane builds
+/// (serve::RequestEnv). The *-Packed variants require dataset.packed()
+/// to be non-null.
 AssignResult RunOnDataset(const serve::ResidentDataset& dataset,
                           const std::string& matcher,
                           double buffer_fraction = 0.02);

@@ -10,8 +10,9 @@
 //    under assignment churn,
 //  * the SB-Packed / SB-alt-Packed engine variants reproduce the
 //    by-definition oracle matching,
-//  * Open() rejects corrupt blocks (checksum), tampered headers and
-//    truncated files.
+//  * Open() rejects corrupt blocks (checksum), tampered headers,
+//    truncated files, and — behind valid checksums — a max impact that
+//    does not bound its block or a list that is not a permutation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #endif
 
 #include "fairmatch/assign/naive_matcher.h"
+#include "fairmatch/common/crc32.h"
 #include "fairmatch/storage/fault_injector.h"
 #include "fairmatch/storage/mmap_file.h"
 #include "fairmatch/topk/function_lists.h"
@@ -353,6 +355,95 @@ TEST_F(PackedFileTest, OpenReportsTypedErrorCodes) {
   EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
   EXPECT_EQ(code, PackedOpenError::kBadChecksum);
   EXPECT_STREQ(PackedOpenErrorName(code), "BAD_CHECKSUM");
+}
+
+// --- semantic checks behind valid checksums --------------------------
+
+/// Absolute offset of block `block` of list `dim` in a packed image,
+/// read through the image's own header and sharded directory (layout
+/// in topk/packed_function_lists.cc).
+size_t BlockAt(const std::vector<unsigned char>& bytes, int dim, int block) {
+  uint32_t n = 0;
+  uint32_t block_entries = 0;
+  uint64_t dir_offset = 0;
+  uint64_t blocks_offset = 0;
+  std::memcpy(&n, bytes.data() + 16, sizeof(n));
+  std::memcpy(&block_entries, bytes.data() + 20, sizeof(block_entries));
+  std::memcpy(&dir_offset, bytes.data() + 40, sizeof(dir_offset));
+  std::memcpy(&blocks_offset, bytes.data() + 48, sizeof(blocks_offset));
+  const size_t num_blocks = (n + block_entries - 1) / block_entries;
+  const size_t num_shards = (num_blocks + 63) / 64;
+  const unsigned char* dir =
+      bytes.data() + dir_offset +
+      static_cast<size_t>(dim) * (num_shards * 8 + num_blocks * 4);
+  uint64_t shard_base = 0;
+  uint32_t delta = 0;
+  std::memcpy(&shard_base, dir + static_cast<size_t>(block / 64) * 8, 8);
+  std::memcpy(&delta, dir + num_shards * 8 + static_cast<size_t>(block) * 4,
+              4);
+  return blocks_offset + shard_base + delta;
+}
+
+/// Re-seals a mutated block: CRC32 over the 24-byte header (checksum
+/// field zeroed) and the id payload, so Open() gets past the checksum
+/// to the semantic checks.
+void ResealBlock(std::vector<unsigned char>* bytes, size_t block) {
+  unsigned char* header = bytes->data() + block;
+  uint32_t count = 0;
+  uint16_t id_bytes = 0;
+  std::memcpy(&count, header + 8, sizeof(count));
+  std::memcpy(&id_bytes, header + 16, sizeof(id_bytes));
+  std::memset(header + 20, 0, 4);
+  uint32_t state = Crc32Update(0xFFFFFFFFu, header, 24);
+  state = Crc32Update(state, header + 24,
+                      static_cast<size_t>(count) * id_bytes);
+  const uint32_t crc = state ^ 0xFFFFFFFFu;
+  std::memcpy(header + 20, &crc, sizeof(crc));
+}
+
+/// Opens the mutated image expecting the typed kBadBlock rejection
+/// with `reason` in the detail.
+void ExpectBadBlock(const std::string& path, const char* reason) {
+  std::string error;
+  PackedOpenError code = PackedOpenError::kNone;
+  EXPECT_EQ(PackedFunctionStore::Open(path, &error, &code), nullptr);
+  EXPECT_EQ(code, PackedOpenError::kBadBlock) << error;
+  EXPECT_NE(error.find(reason), std::string::npos) << error;
+}
+
+// A block whose max impact still descends but no longer bounds its own
+// entries would end the impact-ordered scan early and silently return
+// a wrong best function.
+TEST_F(PackedFileTest, MaxImpactBelowAnEntryIsRejected) {
+  std::vector<unsigned char> bytes = ReadAll(path_);
+  const size_t first = BlockAt(bytes, 1, 0);
+  double first_max = 0.0;
+  double next_max = 0.0;
+  std::memcpy(&first_max, bytes.data() + first, sizeof(first_max));
+  std::memcpy(&next_max, bytes.data() + BlockAt(bytes, 1, 1),
+              sizeof(next_max));
+  ASSERT_GT(first_max, next_max);
+  const double lowered = (first_max + next_max) / 2;  // still descending
+  std::memcpy(bytes.data() + first, &lowered, sizeof(lowered));
+  ResealBlock(&bytes, first);
+  WriteAll(path_, bytes);
+  ExpectBadBlock(path_, "max impact");
+}
+
+// A list that names one function twice (and so misses another) is not
+// a permutation of [0, n): the missing function would never be scored.
+TEST_F(PackedFileTest, ListThatIsNotAPermutationIsRejected) {
+  std::vector<unsigned char> bytes = ReadAll(path_);
+  const size_t block = BlockAt(bytes, 2, 1);
+  uint16_t id_bytes = 0;
+  std::memcpy(&id_bytes, bytes.data() + block + 16, sizeof(id_bytes));
+  // Entry 1's id delta overwrites entry 2's: entry 1's function is
+  // listed twice, entry 2's never.
+  unsigned char* payload = bytes.data() + block + 24;
+  std::memcpy(payload + 2 * id_bytes, payload + id_bytes, id_bytes);
+  ResealBlock(&bytes, block);
+  WriteAll(path_, bytes);
+  ExpectBadBlock(path_, "listed twice");
 }
 
 // --- the mapping seam under edge cases -------------------------------

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "fairmatch/assign/sb.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/data/synthetic.h"
 #include "fairmatch/serve/dataset_registry.h"
@@ -181,6 +182,54 @@ TEST(ServeContractTest, PackedViewsServeIdenticalResultsInBothImageModes) {
       EXPECT_TRUE(OfResponse(response) == direct)
           << name << " mmap=" << mmap_mode;
       EXPECT_EQ(response.stats.io_accesses, 0) << name;
+    }
+  }
+}
+
+// Served SB probes the dataset's resident image with the impact-ordered
+// traversal, or an anonymous image it builds itself when the dataset was
+// opened without one. Either way the response is byte-identical to the
+// paper's entry-at-a-time SB over FunctionLists, at any lane count.
+TEST(ServeContractTest, ServedSbMatchesDirectSbWithAndWithoutAnImage) {
+  const AssignmentProblem problem = SmallProblem(43500);
+  fairmatch::testing::MemTree mem(problem);
+  SBAssignment direct_sb(&problem, &mem.tree, SBOptions{});
+  const AssignResult direct = direct_sb.Run();
+  // Only the registry adapter fills stats.pairs.
+  const Fingerprint want{MatchingHash(direct.matching), 0,
+                         direct.matching.size(), direct.stats.loops};
+  const int kRequests = 6;
+  for (const bool with_image : {true, false}) {
+    DatasetRegistry registry;
+    DatasetOptions dopts;
+    dopts.build_packed = with_image;
+    dopts.packed_block_entries = 4;  // several blocks per list
+    ASSERT_EQ(registry.Open("ds", problem, dopts)->packed() != nullptr,
+              with_image);
+    for (const int lanes : {1, 3}) {
+      ServerOptions options;
+      options.lanes = lanes;
+      options.max_queue = kRequests;
+      Server server(&registry, options);
+      std::vector<ResponseFuture> futures;
+      for (int i = 0; i < kRequests; ++i) {
+        Request request;
+        request.dataset = "ds";
+        request.matcher = "SB";
+        futures.push_back(server.Submit(std::move(request)));
+      }
+      for (ResponseFuture& future : futures) {
+        const Response& response = future.Wait();
+        ASSERT_TRUE(response.status.ok()) << response.status.message;
+        EXPECT_TRUE(OfResponse(response) == want)
+            << "image=" << with_image << " lanes=" << lanes;
+        ASSERT_EQ(response.matching.size(), direct.matching.size());
+        for (size_t p = 0; p < direct.matching.size(); ++p) {
+          EXPECT_EQ(response.matching[p].score, direct.matching[p].score)
+              << "pair " << p << " image=" << with_image
+              << " lanes=" << lanes;
+        }
+      }
     }
   }
 }

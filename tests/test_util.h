@@ -123,16 +123,12 @@ inline AssignResult RunRegisteredMatcher(const std::string& name,
         problem.functions, buffer_fraction,
         ctx != nullptr ? &ctx->counters() : nullptr);
     env.fn_store = fstore.get();
-    if (ctx != nullptr) ctx->set_function_backend("disk");
   }
   if (info->needs_packed_functions) {
     PackedStoreOptions popts;
     popts.use_mmap = packed_mmap;
     pstore = std::make_unique<PackedFunctionStore>(problem.functions, popts);
     env.packed_fns = pstore.get();
-    if (ctx != nullptr) {
-      ctx->set_function_backend(pstore->mapped() ? "packed-mmap" : "packed");
-    }
   }
   std::unique_ptr<Matcher> matcher =
       MatcherRegistry::Global().Create(name, env);
