@@ -1,4 +1,8 @@
-// Recoverable, typed error propagation for the storage/engine stack.
+// Recoverable, typed error propagation: the library's one status type.
+// Storage faults, engine runs, durable updates (update/, recover/),
+// packed-image opens and served requests (serve/server.h) all report a
+// Status; the serving layer passes an engine run's status to its client
+// unchanged. Only the server produces kOverloaded.
 //
 // The library's CHECK macros (common/check.h) stay the answer for
 // programmer error: a violated invariant aborts. Data-dependent
@@ -28,42 +32,71 @@
 
 namespace fairmatch {
 
-/// Failure classes of a run, canonical-status style. Everything here is
-/// recoverable at the request boundary; none of these abort.
+/// Failure classes, canonical-status style: the one status vocabulary
+/// of the library, from a storage read up to a served request.
+/// Everything here is recoverable at the request boundary; none of
+/// these abort.
 enum class ErrorCode {
   kOk = 0,
-  /// A page or record was lost or failed verification (read returned a
-  /// checksum mismatch, a decoded id was out of range, a node was
-  /// malformed). Retrying may help only if the damage was in transfer.
-  kDataLoss,
-  /// A transient storage failure (an injected or real read/write error).
-  /// Retrying the whole run is the expected recovery.
-  kUnavailable,
-  /// A resource budget was exhausted mid-run.
-  kResourceExhausted,
-  /// The run's deadline expired before it completed.
-  kDeadlineExceeded,
-  /// The caller violated a stateful contract (e.g. Matcher::Run()
-  /// invoked twice on one instance). Retrying the same call cannot
-  /// succeed; the caller must rebuild the violated state.
-  kFailedPrecondition,
+  /// Unknown dataset or matcher name, or a file that does not exist or
+  /// cannot be read (a missing manifest, WAL, snapshot or packed
+  /// image).
+  kNotFound = 1,
+  /// The request or update contradicts itself or the matcher's
+  /// contract (e.g. a non-positive timing knob, an out-of-range id).
+  kInvalidArgument = 2,
+  /// The caller violated a stateful contract: a matcher's requirements
+  /// are not met by the resident dataset, Matcher::Run() was invoked
+  /// twice on one instance, a publish does not advance the live epoch.
+  /// Retrying the same call cannot succeed.
+  kFailedPrecondition = 3,
+  /// Admission control rejected a request (serving only): the bounded
+  /// queue is full or the in-flight cap is reached. Retry later.
+  kOverloaded = 4,
+  /// A transient failure: an injected or real read/write error, a
+  /// draining server, or a dataset shedding load. Retrying is the
+  /// expected recovery.
+  kUnavailable = 5,
+  /// The deadline expired — while queued, or mid-run at a cancellation
+  /// point.
+  kDeadlineExceeded = 6,
+  /// Bytes were lost or failed verification (a checksum mismatch, an
+  /// out-of-range decoded id, a malformed node or image). Retrying may
+  /// help only if the damage was in transfer.
+  kDataLoss = 7,
 };
+
+// The values are part of the output, not just the API: the
+// fault_recovery bench digest (bench/driver/fault_figure.cc) hashes a
+// response's numeric status code, so renumbering changes its golden.
+static_assert(static_cast<int>(ErrorCode::kOk) == 0);
+static_assert(static_cast<int>(ErrorCode::kNotFound) == 1);
+static_assert(static_cast<int>(ErrorCode::kInvalidArgument) == 2);
+static_assert(static_cast<int>(ErrorCode::kFailedPrecondition) == 3);
+static_assert(static_cast<int>(ErrorCode::kOverloaded) == 4);
+static_assert(static_cast<int>(ErrorCode::kUnavailable) == 5);
+static_assert(static_cast<int>(ErrorCode::kDeadlineExceeded) == 6);
+static_assert(static_cast<int>(ErrorCode::kDataLoss) == 7);
 
 /// Stable identifier for logs/tests ("OK", "DATA_LOSS", ...).
 inline const char* ErrorCodeName(ErrorCode code) {
   switch (code) {
     case ErrorCode::kOk:
       return "OK";
-    case ErrorCode::kDataLoss:
-      return "DATA_LOSS";
-    case ErrorCode::kUnavailable:
-      return "UNAVAILABLE";
-    case ErrorCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
-    case ErrorCode::kDeadlineExceeded:
-      return "DEADLINE_EXCEEDED";
+    case ErrorCode::kNotFound:
+      return "NOT_FOUND";
+    case ErrorCode::kInvalidArgument:
+      return "INVALID_ARGUMENT";
     case ErrorCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
+    case ErrorCode::kOverloaded:
+      return "OVERLOADED";
+    case ErrorCode::kUnavailable:
+      return "UNAVAILABLE";
+    case ErrorCode::kDeadlineExceeded:
+      return "DEADLINE_EXCEEDED";
+    case ErrorCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }
@@ -76,20 +109,26 @@ struct Status {
   bool ok() const { return code == ErrorCode::kOk; }
 
   static Status Ok() { return {}; }
-  static Status DataLoss(std::string message) {
-    return {ErrorCode::kDataLoss, std::move(message)};
+  static Status NotFound(std::string message) {
+    return {ErrorCode::kNotFound, std::move(message)};
+  }
+  static Status InvalidArgument(std::string message) {
+    return {ErrorCode::kInvalidArgument, std::move(message)};
+  }
+  static Status FailedPrecondition(std::string message) {
+    return {ErrorCode::kFailedPrecondition, std::move(message)};
+  }
+  static Status Overloaded(std::string message) {
+    return {ErrorCode::kOverloaded, std::move(message)};
   }
   static Status Unavailable(std::string message) {
     return {ErrorCode::kUnavailable, std::move(message)};
   }
-  static Status ResourceExhausted(std::string message) {
-    return {ErrorCode::kResourceExhausted, std::move(message)};
-  }
   static Status DeadlineExceeded(std::string message) {
     return {ErrorCode::kDeadlineExceeded, std::move(message)};
   }
-  static Status FailedPrecondition(std::string message) {
-    return {ErrorCode::kFailedPrecondition, std::move(message)};
+  static Status DataLoss(std::string message) {
+    return {ErrorCode::kDataLoss, std::move(message)};
   }
 };
 

@@ -1,6 +1,7 @@
 #include "fairmatch/serve/dataset_registry.h"
 
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "fairmatch/common/check.h"
@@ -88,25 +89,17 @@ RequestEnv::RequestEnv(const ResidentDataset& dataset, const MatcherInfo& info,
   }
 }
 
-DatasetHandle DatasetRegistry::Open(const std::string& name,
-                                    const AssignmentProblem& problem,
-                                    const DatasetOptions& options) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = datasets_.find(name);
-    if (it != datasets_.end()) {
-      ++warm_opens_;
-      return it->second;
-    }
-  }
-  // Build outside the lock: a cold open of a big dataset must not
-  // stall warm opens and Finds on other names. If two threads race a
-  // cold open of the same name, the first insert wins and the loser's
-  // build is discarded (both get the winner's handle).
-  auto dataset =
-      std::make_shared<const ResidentDataset>(name, problem, options);
+DatasetHandle DatasetRegistry::FindWarm(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(dataset));
+  auto it = datasets_.find(name);
+  if (it == datasets_.end()) return nullptr;
+  ++warm_opens_;
+  return it->second;
+}
+
+DatasetHandle DatasetRegistry::Install(DatasetHandle dataset) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = datasets_.emplace(dataset->name(), std::move(dataset));
   if (inserted) {
     ++cold_opens_;
   } else {
@@ -115,58 +108,77 @@ DatasetHandle DatasetRegistry::Open(const std::string& name,
   return it->second;
 }
 
-ServeStatus DatasetRegistry::OpenOrError(const std::string& name,
-                                         const AssignmentProblem& problem,
-                                         const DatasetOptions& options,
-                                         DatasetHandle* out) {
-  if (options.packed_image_path.empty()) {
-    DatasetHandle handle = Open(name, problem, options);
-    if (out != nullptr) *out = std::move(handle);
-    return ServeStatus::Ok();
+DatasetHandle DatasetRegistry::Open(const std::string& name,
+                                    const AssignmentProblem& problem,
+                                    const DatasetOptions& options) {
+  if (DatasetHandle warm = FindWarm(name)) return warm;
+  // Build outside the lock: a cold open of a big dataset must not
+  // stall warm opens and Finds on other names. If two threads race a
+  // cold open of the same name, the first insert wins and the loser's
+  // build is discarded (both get the winner's handle).
+  return Install(
+      std::make_shared<const ResidentDataset>(name, problem, options));
+}
+
+namespace {
+
+/// OK when `packed` is the image `problem.functions` packs to: same
+/// shape and a bit-identical effective-coefficient table. A same-shape
+/// image of other functions would otherwise attach cleanly and serve
+/// wrong matchings from every matcher that probes it.
+Status CheckImageMatches(const PackedFunctionStore& packed,
+                         const AssignmentProblem& problem,
+                         const std::string& path) {
+  if (packed.dims() != problem.dims ||
+      packed.size() != static_cast<int>(problem.functions.size())) {
+    return Status::FailedPrecondition(
+        "packed image '" + path + "' has " + std::to_string(packed.size()) +
+        " functions x " + std::to_string(packed.dims()) +
+        " dims, problem has " + std::to_string(problem.functions.size()) +
+        " x " + std::to_string(problem.dims));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = datasets_.find(name);
-    if (it != datasets_.end()) {
-      ++warm_opens_;
-      if (out != nullptr) *out = it->second;
-      return ServeStatus::Ok();
+  // Function ids equal vector indices (common/preference.h), so row i
+  // of the table is function i.
+  for (int i = 0; i < packed.size(); ++i) {
+    const double* row = packed.EffRow(i);
+    for (int d = 0; d < problem.dims; ++d) {
+      const double eff = problem.functions[i].eff(d);
+      if (std::memcmp(&row[d], &eff, sizeof(eff)) != 0) {
+        return Status::FailedPrecondition(
+            "packed image '" + path + "' was built from other functions: "
+            "function " + std::to_string(i) + " dim " + std::to_string(d) +
+            " has coefficient " + std::to_string(row[d]) +
+            ", problem has " + std::to_string(eff));
+      }
     }
   }
-  // Attach (and fully verify) the image outside the lock, like Open()'s
-  // cold build.
-  std::string error;
-  PackedOpenError code = PackedOpenError::kNone;
-  std::unique_ptr<PackedFunctionStore> packed =
-      PackedFunctionStore::Open(options.packed_image_path, &error, &code);
-  if (packed == nullptr) {
-    const std::string detail = "packed image '" + options.packed_image_path +
-                               "': " + PackedOpenErrorName(code) + ": " +
-                               error;
-    return code == PackedOpenError::kIoError ? ServeStatus::NotFound(detail)
-                                             : ServeStatus::DataLoss(detail);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status DatasetRegistry::OpenOrError(const std::string& name,
+                                    const AssignmentProblem& problem,
+                                    const DatasetOptions& options,
+                                    DatasetHandle* out) {
+  // Open() never returns null, so only a cold image attach gets past.
+  DatasetHandle handle = options.packed_image_path.empty()
+                             ? Open(name, problem, options)
+                             : FindWarm(name);
+  if (handle == nullptr) {
+    // Attach (and fully verify) the image outside the lock, like
+    // Open()'s cold build.
+    Status status;
+    std::unique_ptr<PackedFunctionStore> packed =
+        PackedFunctionStore::Open(options.packed_image_path, &status);
+    if (packed == nullptr) return status;
+    status = CheckImageMatches(*packed, problem, options.packed_image_path);
+    if (!status.ok()) return status;
+    handle = Install(std::make_shared<const ResidentDataset>(
+        name, problem, options, std::move(packed)));
   }
-  if (packed->dims() != problem.dims ||
-      packed->size() != static_cast<int>(problem.functions.size())) {
-    return ServeStatus::FailedPrecondition(
-        "packed image '" + options.packed_image_path + "' has " +
-        std::to_string(packed->size()) + " functions x " +
-        std::to_string(packed->dims()) + " dims, problem has " +
-        std::to_string(problem.functions.size()) + " x " +
-        std::to_string(problem.dims));
-  }
-  auto dataset = std::make_shared<const ResidentDataset>(name, problem,
-                                                         options,
-                                                         std::move(packed));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = datasets_.emplace(name, std::move(dataset));
-  if (inserted) {
-    ++cold_opens_;
-  } else {
-    ++warm_opens_;
-  }
-  if (out != nullptr) *out = it->second;
-  return ServeStatus::Ok();
+  if (out != nullptr) *out = std::move(handle);
+  return Status::Ok();
 }
 
 DatasetHandle DatasetRegistry::Find(const std::string& name) const {
@@ -177,7 +189,7 @@ DatasetHandle DatasetRegistry::Find(const std::string& name) const {
 
 DatasetHandle DatasetRegistry::Publish(DatasetHandle handle) {
   DatasetHandle replaced;
-  const ServeStatus status = PublishOrError(std::move(handle), &replaced);
+  const Status status = PublishOrError(std::move(handle), &replaced);
   if (!status.ok()) {
     std::fprintf(stderr, "DatasetRegistry::Publish: %s\n",
                  status.message.c_str());
@@ -186,15 +198,15 @@ DatasetHandle DatasetRegistry::Publish(DatasetHandle handle) {
   return replaced;
 }
 
-ServeStatus DatasetRegistry::PublishOrError(DatasetHandle handle,
-                                            DatasetHandle* replaced,
-                                            ErrorSink* sink) {
+Status DatasetRegistry::PublishOrError(DatasetHandle handle,
+                                       DatasetHandle* replaced,
+                                       ErrorSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(handle->name());
   if (it == datasets_.end()) {
     datasets_.emplace(handle->name(), std::move(handle));
     if (replaced != nullptr) replaced->reset();
-    return ServeStatus::Ok();
+    return Status::Ok();
   }
   if (handle->epoch() <= it->second->epoch()) {
     const std::string detail =
@@ -202,20 +214,19 @@ ServeStatus DatasetRegistry::PublishOrError(DatasetHandle handle,
         std::to_string(handle->epoch()) + " does not advance live epoch " +
         std::to_string(it->second->epoch());
     if (sink != nullptr) sink->Report(ErrorCode::kFailedPrecondition, detail);
-    return ServeStatus::FailedPrecondition(detail);
+    return Status::FailedPrecondition(detail);
   }
   DatasetHandle previous = std::move(it->second);
   it->second = std::move(handle);
   ++republishes_;
   if (replaced != nullptr) *replaced = std::move(previous);
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
-ServeStatus DatasetRegistry::PublishRecovered(DatasetHandle handle,
-                                              DatasetHandle* replaced,
-                                              ErrorSink* sink) {
-  const ServeStatus status =
-      PublishOrError(std::move(handle), replaced, sink);
+Status DatasetRegistry::PublishRecovered(DatasetHandle handle,
+                                         DatasetHandle* replaced,
+                                         ErrorSink* sink) {
+  const Status status = PublishOrError(std::move(handle), replaced, sink);
   if (status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++recoveries_;
@@ -233,14 +244,14 @@ int64_t DatasetRegistry::recoveries() const {
   return recoveries_;
 }
 
-ServeStatus DatasetRegistry::Close(const std::string& name) {
+Status DatasetRegistry::Close(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(name);
   if (it == datasets_.end()) {
-    return ServeStatus::NotFound("dataset '" + name + "' is not resident");
+    return Status::NotFound("dataset '" + name + "' is not resident");
   }
   datasets_.erase(it);  // outstanding handles keep the dataset alive
-  return ServeStatus::Ok();
+  return Status::Ok();
 }
 
 std::vector<std::string> DatasetRegistry::Names() const {

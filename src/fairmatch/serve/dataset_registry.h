@@ -36,7 +36,6 @@
 #include "fairmatch/engine/registry.h"
 #include "fairmatch/rtree/node_store.h"
 #include "fairmatch/rtree/rtree.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/topk/disk_function_lists.h"
 #include "fairmatch/topk/packed_function_lists.h"
 
@@ -144,6 +143,11 @@ class ResidentDataset {
 /// is destroyed when the registry entry and every handle are gone.
 using DatasetHandle = std::shared_ptr<const ResidentDataset>;
 
+/// The serving layer's former status name, kept only because the
+/// benchmark sources (perfbench/src/ingest.cc) still spell it and are
+/// not edited alongside the library. New code names Status.
+using ServeStatus = Status;
+
 /// One request's matcher environment over a resident dataset, assembled
 /// the same way for server lanes and update::RunOnDataset: a private
 /// tree for tree-mutating matchers, a DiskFunctionStore when the matcher
@@ -187,16 +191,17 @@ class DatasetRegistry {
                      const DatasetOptions& options = {});
 
   /// Open() with typed failure reporting. The fallible build step is
-  /// attaching a pre-built packed image (options.packed_image_path): an
-  /// unreadable file comes back kNotFound, a malformed/corrupt one
-  /// kDataLoss — both with the PackedOpenError class in the detail —
-  /// and an image that does not match `problem`'s shape
+  /// attaching a pre-built packed image (options.packed_image_path).
+  /// PackedFunctionStore::Open's failure comes back as it is: kNotFound
+  /// for an unreadable file, kDataLoss for a malformed or corrupt one,
+  /// the reason token leading the message. An image that is not the
+  /// one `problem.functions` packs to — another shape, or any
+  /// effective coefficient that differs bit for bit — comes back
   /// kFailedPrecondition. On success fills `out` (when non-null) and
   /// returns OK. Without a packed_image_path this is exactly Open().
-  ServeStatus OpenOrError(const std::string& name,
-                          const AssignmentProblem& problem,
-                          const DatasetOptions& options,
-                          DatasetHandle* out = nullptr);
+  Status OpenOrError(const std::string& name, const AssignmentProblem& problem,
+                     const DatasetOptions& options,
+                     DatasetHandle* out = nullptr);
 
   /// The resident dataset `name`, or nullptr. Shares (refcount++ for
   /// the caller) without ever building.
@@ -223,16 +228,16 @@ class DatasetRegistry {
   /// when non-null) carries both epochs, the registry is untouched. On
   /// success `*replaced` (when non-null) receives what Publish() would
   /// have returned.
-  ServeStatus PublishOrError(DatasetHandle handle,
-                             DatasetHandle* replaced = nullptr,
-                             ErrorSink* sink = nullptr);
+  Status PublishOrError(DatasetHandle handle,
+                        DatasetHandle* replaced = nullptr,
+                        ErrorSink* sink = nullptr);
 
   /// PublishOrError() for an epoch restored by crash recovery
   /// (recover/durable_builder.h) — same swap/install and the same
   /// monotonicity contract, counted separately in recoveries().
-  ServeStatus PublishRecovered(DatasetHandle handle,
-                               DatasetHandle* replaced = nullptr,
-                               ErrorSink* sink = nullptr);
+  Status PublishRecovered(DatasetHandle handle,
+                          DatasetHandle* replaced = nullptr,
+                          ErrorSink* sink = nullptr);
 
   /// Total Publish() calls that replaced an existing dataset.
   int64_t republishes() const;
@@ -244,7 +249,7 @@ class DatasetRegistry {
   /// requests) keep the dataset alive; a later Open() of the same name
   /// builds fresh structures. Returns NotFound if `name` is not
   /// resident.
-  ServeStatus Close(const std::string& name);
+  Status Close(const std::string& name);
 
   /// Names of the resident datasets, sorted.
   std::vector<std::string> Names() const;
@@ -255,6 +260,14 @@ class DatasetRegistry {
   int64_t cold_opens() const;
 
  private:
+  /// The resident dataset `name`, counted as a warm open, or nullptr.
+  DatasetHandle FindWarm(const std::string& name);
+
+  /// Installs a cold-built dataset under its name and counts a cold
+  /// open. If a racing open installed the name first, the winner is
+  /// kept, counted as a warm open and returned instead.
+  DatasetHandle Install(DatasetHandle dataset);
+
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<const ResidentDataset>> datasets_;
   int64_t warm_opens_ = 0;

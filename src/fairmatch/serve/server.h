@@ -40,7 +40,7 @@
 // attempt of every request runs against a FaultInjector seeded from
 // (plan seed, request id, attempt) on the lane's workspace disk, with
 // per-page CRC verification on. Storage faults surface as typed
-// engine statuses (common/status.h), never a crash. Transient failures
+// statuses (common/status.h), never a crash. Transient failures
 // (kUnavailable, kDataLoss) are retried up to max_attempts with a
 // fixed backoff; each attempt is a fresh isolated run on a recycled
 // workspace, so a successful retry is byte-identical to a fault-free
@@ -70,9 +70,9 @@
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/engine/batch_runner.h"
 #include "fairmatch/serve/dataset_registry.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/storage/fault_injector.h"
 
 namespace fairmatch {
@@ -140,7 +140,8 @@ struct Request {
 /// What the client gets back. On a non-OK status, matching/stats are
 /// empty and only the timings are meaningful.
 struct Response {
-  ServeStatus status;
+  /// The rejection, or the engine run's status passed through unchanged.
+  Status status;
   Matching matching;
   RunStats stats;
 
@@ -245,11 +246,11 @@ class Server {
   struct Pending;
 
   /// Admission check under mu_. Empty message = admit.
-  ServeStatus AdmissionStatus() const;
+  Status AdmissionStatus() const;
 
   /// Static validation (names, matcher requirements) against the
   /// registry; fills `dataset` on success.
-  ServeStatus Validate(const Request& request, DatasetHandle* dataset) const;
+  Status Validate(const Request& request, DatasetHandle* dataset) const;
 
   void LaneLoop(LaneWorkspace* workspace);
 
@@ -260,14 +261,14 @@ class Server {
   void Process(Pending* pending, LaneWorkspace* workspace);
 
   /// One isolated execution attempt; fills response matching/stats on
-  /// success and returns the mapped request status.
-  ServeStatus RunAttempt(Pending* pending, LaneWorkspace* workspace,
-                         const MatcherInfo* info, int attempt,
-                         Response* response);
+  /// success and returns the run's status unchanged.
+  Status RunAttempt(Pending* pending, LaneWorkspace* workspace,
+                    const MatcherInfo* info, int attempt,
+                    Response* response);
 
   /// Records the final status of a run against `dataset` (consecutive
   /// data-loss tracking) and bumps the outcome counters.
-  void RecordOutcome(const std::string& dataset, const ServeStatus& status);
+  void RecordOutcome(const std::string& dataset, const Status& status);
 
   DatasetRegistry* registry_;
   ServerOptions options_;

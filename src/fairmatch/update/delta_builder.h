@@ -39,7 +39,7 @@
 // constructs the next epoch only after the last fallible step
 // succeeded. Any failure — invalid batch, injected storage fault
 // (DeltaOptions::injector), structural damage detected in a cloned
-// page — returns a typed ServeStatus and leaves the builder on the old
+// page — returns a typed Status and leaves the builder on the old
 // epoch, which was never touched. There is no partially-applied state
 // to roll back, by construction.
 #ifndef FAIRMATCH_UPDATE_DELTA_BUILDER_H_
@@ -49,8 +49,8 @@
 #include <vector>
 
 #include "fairmatch/assign/problem.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/serve/dataset_registry.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/storage/fault_injector.h"
 
 namespace fairmatch::update {
@@ -140,8 +140,8 @@ class DeltaBuilder {
   /// would empty the object or function set), kUnavailable (injected
   /// read/write/map failure) or kDataLoss (cloned page structurally
   /// damaged) — and current() still names the old epoch, untouched.
-  serve::ServeStatus Apply(const UpdateBatch& batch,
-                           UpdateStats* stats = nullptr);
+  Status Apply(const UpdateBatch& batch,
+               UpdateStats* stats = nullptr);
 
   /// The newest epoch. The caller publishes it
   /// (DatasetRegistry::Publish) when it should start serving.

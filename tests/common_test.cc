@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "fairmatch/common/float_util.h"
 #include "fairmatch/common/preference.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/common/stats.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/common/timer.h"
 
 namespace fairmatch {
@@ -146,6 +150,31 @@ TEST(PrefFunctionTest, MaxScoreBoundsScoreInsideBox) {
   MBR box(lo, hi);
   Point inside(2, 0.5f);
   EXPECT_LE(f.Score(inside), f.MaxScore(box));
+}
+
+// Every code has its own log/test name, and each factory yields its
+// code. The list runs from kOk to kDataLoss, the last enumerator.
+TEST(StatusTest, EveryCodeIsNamedAndMade) {
+  const std::pair<ErrorCode, Status> codes[] = {
+      {ErrorCode::kOk, Status::Ok()},
+      {ErrorCode::kNotFound, Status::NotFound("m")},
+      {ErrorCode::kInvalidArgument, Status::InvalidArgument("m")},
+      {ErrorCode::kFailedPrecondition, Status::FailedPrecondition("m")},
+      {ErrorCode::kOverloaded, Status::Overloaded("m")},
+      {ErrorCode::kUnavailable, Status::Unavailable("m")},
+      {ErrorCode::kDeadlineExceeded, Status::DeadlineExceeded("m")},
+      {ErrorCode::kDataLoss, Status::DataLoss("m")},
+  };
+  std::set<std::string> names;
+  for (int i = 0; i < static_cast<int>(std::size(codes)); ++i) {
+    const auto& [code, made] = codes[i];
+    EXPECT_EQ(static_cast<int>(code), i);
+    EXPECT_EQ(made.code, code);
+    EXPECT_EQ(made.ok(), code == ErrorCode::kOk);
+    const std::string name = ErrorCodeName(code);
+    EXPECT_NE(name, "UNKNOWN");
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 
 #include "fairmatch/assign/naive_matcher.h"
 #include "fairmatch/common/crc32.h"
+#include "fairmatch/common/status.h"
 #include "fairmatch/storage/fault_injector.h"
 #include "fairmatch/storage/mmap_file.h"
 #include "fairmatch/topk/function_lists.h"
@@ -266,9 +267,9 @@ class PackedFileTest : public ::testing::Test {
 };
 
 TEST_F(PackedFileTest, OpenRoundTripsAndVerifies) {
-  std::string error;
-  auto store = PackedFunctionStore::Open(path_, &error);
-  ASSERT_NE(store, nullptr) << error;
+  Status status;
+  auto store = PackedFunctionStore::Open(path_, &status);
+  ASSERT_NE(store, nullptr) << status.message;
   EXPECT_TRUE(store->mapped());
   FunctionLists lists(&problem_.functions);
   for (int d = 0; d < lists.dims(); ++d) {
@@ -285,9 +286,9 @@ TEST_F(PackedFileTest, CorruptBlockPayloadIsRejected) {
   // First payload byte of the first block (24-byte block header).
   bytes[blocks_offset + 24] ^= 0x01;
   WriteAll(path_, bytes);
-  std::string error;
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr);
-  EXPECT_FALSE(error.empty());
+  Status status;
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_FALSE(status.message.empty());
 }
 
 TEST_F(PackedFileTest, CorruptBlockHeaderIsRejected) {
@@ -296,8 +297,8 @@ TEST_F(PackedFileTest, CorruptBlockHeaderIsRejected) {
   std::memcpy(&blocks_offset, bytes.data() + 48, sizeof(blocks_offset));
   bytes[blocks_offset + 2] ^= 0x40;  // inside the max_impact double
   WriteAll(path_, bytes);
-  std::string error;
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr);
+  Status status;
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
 }
 
 TEST_F(PackedFileTest, BadMagicIsRejected) {
@@ -314,47 +315,55 @@ TEST_F(PackedFileTest, TruncatedFileIsRejected) {
   for (const size_t keep : {bytes.size() - 16, size_t{10}}) {
     WriteAll(path_, std::vector<unsigned char>(bytes.begin(),
                                                bytes.begin() + keep));
-    std::string error;
-    EXPECT_EQ(PackedFunctionStore::Open(path_, &error), nullptr)
+    Status status;
+    EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr)
         << "kept " << keep;
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(status.message.empty());
   }
 }
 
-// Open() classifies every rejection (PackedOpenError) so callers — the
-// serving registry in particular — can distinguish a missing file from
-// a damaged image without parsing message strings.
+/// True when `status` carries `code` and its message begins with the
+/// reason token `reason`.
+bool IsOpenFailure(const Status& status, ErrorCode code, const char* reason) {
+  return status.code == code && status.message.rfind(reason, 0) == 0;
+}
+
+// Open() classifies every rejection — kNotFound for a missing file,
+// kDataLoss for a damaged image, the reason token leading the message —
+// so callers (the serving registry in particular) can tell them apart
+// without searching message strings.
 TEST_F(PackedFileTest, OpenReportsTypedErrorCodes) {
   const std::vector<unsigned char> bytes = ReadAll(path_);
-  std::string error;
-  PackedOpenError code = PackedOpenError::kBadBlock;  // must be reset
+  Status status = Status::DataLoss("BAD_BLOCK: stale");  // must be reset
 
-  ASSERT_NE(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kNone);
+  ASSERT_NE(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_TRUE(status.ok()) << status.message;
 
-  EXPECT_EQ(PackedFunctionStore::Open(path_ + ".missing", &error, &code),
-            nullptr);
-  EXPECT_EQ(code, PackedOpenError::kIoError);
+  EXPECT_EQ(PackedFunctionStore::Open(path_ + ".missing", &status), nullptr);
+  EXPECT_TRUE(IsOpenFailure(status, ErrorCode::kNotFound, "IO_ERROR"))
+      << status.message;
 
   std::vector<unsigned char> damaged = bytes;
   damaged[0] ^= 0xff;
   WriteAll(path_, damaged);
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kBadMagic);
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_TRUE(IsOpenFailure(status, ErrorCode::kDataLoss, "BAD_MAGIC"))
+      << status.message;
 
   WriteAll(path_, std::vector<unsigned char>(bytes.begin(),
                                              bytes.end() - 16));
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kTruncated);
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_TRUE(IsOpenFailure(status, ErrorCode::kDataLoss, "TRUNCATED"))
+      << status.message;
 
   damaged = bytes;
   uint64_t blocks_offset = 0;
   std::memcpy(&blocks_offset, damaged.data() + 48, sizeof(blocks_offset));
   damaged[blocks_offset + 24] ^= 0x01;  // first payload byte
   WriteAll(path_, damaged);
-  EXPECT_EQ(PackedFunctionStore::Open(path_, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kBadChecksum);
-  EXPECT_STREQ(PackedOpenErrorName(code), "BAD_CHECKSUM");
+  EXPECT_EQ(PackedFunctionStore::Open(path_, &status), nullptr);
+  EXPECT_TRUE(IsOpenFailure(status, ErrorCode::kDataLoss, "BAD_CHECKSUM"))
+      << status.message;
 }
 
 // --- semantic checks behind valid checksums --------------------------
@@ -401,14 +410,15 @@ void ResealBlock(std::vector<unsigned char>* bytes, size_t block) {
   std::memcpy(header + 20, &crc, sizeof(crc));
 }
 
-/// Opens the mutated image expecting the typed kBadBlock rejection
-/// with `reason` in the detail.
+/// Opens the mutated image expecting a kDataLoss rejection with the
+/// BAD_BLOCK reason token and `reason` in the detail.
 void ExpectBadBlock(const std::string& path, const char* reason) {
-  std::string error;
-  PackedOpenError code = PackedOpenError::kNone;
-  EXPECT_EQ(PackedFunctionStore::Open(path, &error, &code), nullptr);
-  EXPECT_EQ(code, PackedOpenError::kBadBlock) << error;
-  EXPECT_NE(error.find(reason), std::string::npos) << error;
+  Status status;
+  EXPECT_EQ(PackedFunctionStore::Open(path, &status), nullptr);
+  EXPECT_TRUE(IsOpenFailure(status, ErrorCode::kDataLoss, "BAD_BLOCK"))
+      << status.message;
+  EXPECT_NE(status.message.find(reason), std::string::npos)
+      << status.message;
 }
 
 // A block whose max impact still descends but no longer bounds its own

@@ -23,7 +23,6 @@
 #include "fairmatch/data/synthetic.h"
 #include "fairmatch/serve/dataset_registry.h"
 #include "fairmatch/serve/server.h"
-#include "fairmatch/serve/status.h"
 #include "fairmatch/update/delta_builder.h"
 #include "fairmatch/update/stream_matcher.h"
 #include "test_util.h"
@@ -395,7 +394,7 @@ TEST(ServeAdmissionTest, FullQueueRejectsWithOverloaded) {
   // ...third must be rejected, immediately and without blocking.
   ResponseFuture rejected = server.Submit(request);
   EXPECT_TRUE(rejected.done());
-  EXPECT_EQ(rejected.Wait().status.code, ServeCode::kOverloaded);
+  EXPECT_EQ(rejected.Wait().status.code, ErrorCode::kOverloaded);
 
   gate->Release();
   EXPECT_TRUE(running.Wait().status.ok());
@@ -426,7 +425,7 @@ TEST(ServeAdmissionTest, InflightCapRejectsWithOverloaded) {
   gate->WaitForStarted(2);
   ResponseFuture c = server.Submit(request);
   EXPECT_TRUE(c.done());
-  EXPECT_EQ(c.Wait().status.code, ServeCode::kOverloaded);
+  EXPECT_EQ(c.Wait().status.code, ErrorCode::kOverloaded);
 
   gate->Release();
   EXPECT_TRUE(a.Wait().status.ok());
@@ -465,7 +464,7 @@ TEST(ServeAdmissionTest, DrainCompletesEveryAcceptedRequest) {
   late.dataset = "ds";
   late.matcher = "SB";
   const Response response = server.Execute(late);
-  EXPECT_EQ(response.status.code, ServeCode::kUnavailable);
+  EXPECT_EQ(response.status.code, ErrorCode::kUnavailable);
   EXPECT_EQ(server.counters().completed, 16);
 }
 
@@ -484,21 +483,21 @@ TEST(ServeErrorTest, BadRequestsGetTypedStatusesNotCrashes) {
   Request request;
   request.dataset = "plain";
   request.matcher = "NoSuchMatcher";
-  EXPECT_EQ(server.Execute(request).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(request).status.code, ErrorCode::kNotFound);
 
   request.matcher = "SB";
   request.dataset = "no-such-dataset";
-  EXPECT_EQ(server.Execute(request).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(request).status.code, ErrorCode::kNotFound);
 
   request.dataset = "plain";
   request.matcher = "SB-Packed";  // needs the packed image
   EXPECT_EQ(server.Execute(request).status.code,
-            ServeCode::kFailedPrecondition);
+            ErrorCode::kFailedPrecondition);
 
   request.matcher = "SB";
   request.buffer_fraction = -0.5;
   EXPECT_EQ(server.Execute(request).status.code,
-            ServeCode::kInvalidArgument);
+            ErrorCode::kInvalidArgument);
 
   // The service survived all of it.
   request.buffer_fraction = 0.02;
@@ -527,7 +526,7 @@ TEST(DatasetLifecycleTest, CloseWhileHandlesLiveIsSafe) {
   DatasetHandle handle = registry.Open("ds", problem);
   EXPECT_TRUE(registry.Close("ds").ok());
   EXPECT_EQ(registry.Find("ds"), nullptr);
-  EXPECT_EQ(registry.Close("ds").code, ServeCode::kNotFound);
+  EXPECT_EQ(registry.Close("ds").code, ErrorCode::kNotFound);
 
   // The outstanding handle still works: the structures live until the
   // last reference drops.
@@ -565,13 +564,13 @@ TEST(DatasetLifecycleTest, CloseUnderInflightTrafficIsSafe) {
   Request late;
   late.dataset = "ds";
   late.matcher = "SB";
-  EXPECT_EQ(server.Execute(late).status.code, ServeCode::kNotFound);
+  EXPECT_EQ(server.Execute(late).status.code, ErrorCode::kNotFound);
 }
 
 // OpenOrError attaches a pre-built packed image and reports attach
-// failures typed, with the PackedOpenError class in the detail — the
-// difference between "deploy the file" (kNotFound), "rebuild the image"
-// (kDataLoss) and "wrong problem" (kFailedPrecondition).
+// failures typed, with the open failure's reason token in the detail —
+// the difference between "deploy the file" (kNotFound), "rebuild the
+// image" (kDataLoss) and "wrong problem" (kFailedPrecondition).
 TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
   const AssignmentProblem problem = SmallProblem(49900);
   const std::string path = ::testing::TempDir() + "/serve_packed_image.pkfl";
@@ -594,8 +593,8 @@ TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
 
   // Missing file: kNotFound, classed IO_ERROR.
   options.packed_image_path = path + ".missing";
-  ServeStatus status = registry.OpenOrError("other", problem, options);
-  EXPECT_EQ(status.code, ServeCode::kNotFound);
+  Status status = registry.OpenOrError("other", problem, options);
+  EXPECT_EQ(status.code, ErrorCode::kNotFound);
   EXPECT_NE(status.message.find("IO_ERROR"), std::string::npos)
       << status.message;
 
@@ -604,9 +603,47 @@ TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
   AssignmentProblem mismatched = problem;
   mismatched.functions.pop_back();
   status = registry.OpenOrError("other", mismatched, options);
-  EXPECT_EQ(status.code, ServeCode::kFailedPrecondition);
+  EXPECT_EQ(status.code, ErrorCode::kFailedPrecondition);
+
+  // A same-shape image of a different function set: kFailedPrecondition,
+  // not a clean attach that would serve another problem's matchings.
+  const std::string other_path = path + ".other";
+  ASSERT_TRUE(PackedFunctionStore::WriteFile(SmallProblem(49901).functions,
+                                             other_path,
+                                             /*block_entries=*/64, &error))
+      << error;
+  options.packed_image_path = other_path;
+  status = registry.OpenOrError("other", problem, options);
+  EXPECT_EQ(status.code, ErrorCode::kFailedPrecondition) << status.message;
+
+  // This problem's image with one exponent bit of eff[0] cleared. The
+  // coefficient only shrinks, so it still sits under its block's max
+  // impact and the image passes PackedFunctionStore::Open; only the
+  // comparison against the problem's own coefficients catches it.
+  ASSERT_TRUE(PackedFunctionStore::WriteFile(problem.functions, other_path,
+                                             /*block_entries=*/64, &error))
+      << error;
+  {
+    std::FILE* f = std::fopen(other_path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    uint64_t eff_offset = 0;
+    std::fseek(f, 32, SEEK_SET);  // header field eff_offset
+    ASSERT_EQ(std::fread(&eff_offset, sizeof(eff_offset), 1, f), 1u);
+    // Byte 7 of the little-endian double: sign and high exponent bits.
+    std::fseek(f, static_cast<long>(eff_offset + 7), SEEK_SET);
+    const int top = std::fgetc(f);
+    ASSERT_NE(top & 0x7f, 0);
+    std::fseek(f, static_cast<long>(eff_offset + 7), SEEK_SET);
+    std::fputc(top ^ (top & -top), f);  // clear the lowest set bit
+    std::fclose(f);
+  }
+  ASSERT_NE(PackedFunctionStore::Open(other_path), nullptr);
+  status = registry.OpenOrError("other", problem, options);
+  EXPECT_EQ(status.code, ErrorCode::kFailedPrecondition) << status.message;
+  std::remove(other_path.c_str());
 
   // Damaged image: kDataLoss, with the corruption class named.
+  options.packed_image_path = path;
   {
     std::FILE* f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
@@ -615,7 +652,7 @@ TEST(DatasetLifecycleTest, OpenOrErrorReportsTypedPackedImageFailures) {
     std::fclose(f);
   }
   status = registry.OpenOrError("other", problem, options);
-  EXPECT_EQ(status.code, ServeCode::kDataLoss);
+  EXPECT_EQ(status.code, ErrorCode::kDataLoss);
   EXPECT_NE(status.message.find("BAD_MAGIC"), std::string::npos)
       << status.message;
 
