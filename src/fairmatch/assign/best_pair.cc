@@ -1,73 +1,80 @@
 #include "fairmatch/assign/best_pair.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "fairmatch/common/check.h"
 
 namespace fairmatch {
 
-std::vector<MatchPair> BestPairEngine::FindMutualPairs(
+void BestPairEngine::FindMutualPairs(
     const std::vector<MemberCandidate>& members,
-    const std::vector<ObjectId>& added) {
-  // Functions named as some member's best this loop (F_best).
-  std::unordered_set<FunctionId> fbest_set;
+    const std::vector<ObjectId>& added, std::vector<MatchPair>* pairs) {
+  ++call_;
+  ObjectId max_oid = kInvalidObject;
+  for (const MemberCandidate& m : members) max_oid = std::max(max_oid, m.oid);
+  for (ObjectId oid : added) max_oid = std::max(max_oid, oid);
+  if (max_oid >= static_cast<ObjectId>(marks_.size())) {
+    marks_.resize(static_cast<size_t>(max_oid) + 1);
+  }
+  for (ObjectId oid : added) marks_[oid].added_call = call_;
+
+  // Functions named as some member's best this loop (F_best), and the
+  // members that joined since the previous call.
+  fbest_.clear();
+  newcomers_.clear();
   for (const MemberCandidate& m : members) {
     FAIRMATCH_DCHECK(m.fbest != kInvalidFunction);
-    fbest_set.insert(m.fbest);
+    FunctionSlot& slot = slots_[m.fbest];
+    if (slot.fbest_call != call_) {
+      slot.fbest_call = call_;
+      fbest_.push_back(m.fbest);
+    }
+    if (marks_[m.oid].added_call == call_) newcomers_.push_back(&m);
   }
 
   // Refresh f.obest for every f in F_best.
-  std::unordered_set<ObjectId> added_set(added.begin(), added.end());
-  for (FunctionId fid : fbest_set) {
+  for (FunctionId fid : fbest_) {
     const PrefFunction& f = (*fns_)[fid];
-    auto it = obest_.find(fid);
-    if (it == obest_.end()) {
+    FunctionSlot& slot = slots_[fid];
+    if (!Cached(slot)) {
       // Full scan over the current members.
-      Best best{kInvalidObject, 0.0};
+      slot.oid = kInvalidObject;
       for (const MemberCandidate& m : members) {
         double s = f.Score(*m.point);
-        if (best.oid == kInvalidObject ||
-            PairBefore(s, fid, m.oid, best.score, fid, best.oid)) {
-          best = Best{m.oid, s};
+        if (slot.oid == kInvalidObject ||
+            PairBefore(s, fid, m.oid, slot.score, fid, slot.oid)) {
+          SetBest(&slot, m.oid, s);
         }
       }
-      obest_.emplace(fid, best);
-    } else if (!added.empty()) {
+    } else {
       // Compare the cached best only against newcomers.
-      Best& best = it->second;
-      for (const MemberCandidate& m : members) {
-        if (added_set.count(m.oid) == 0) continue;
-        double s = f.Score(*m.point);
-        if (PairBefore(s, fid, m.oid, best.score, fid, best.oid)) {
-          best = Best{m.oid, s};
+      for (const MemberCandidate* m : newcomers_) {
+        double s = f.Score(*m->point);
+        if (PairBefore(s, fid, m->oid, slot.score, fid, slot.oid)) {
+          SetBest(&slot, m->oid, s);
         }
       }
     }
   }
 
   // Report members whose candidate function points back at them.
-  std::vector<MatchPair> pairs;
+  pairs->clear();
   for (const MemberCandidate& m : members) {
-    const Best& best = obest_.at(m.fbest);
-    if (best.oid == m.oid) {
-      pairs.push_back(MatchPair{m.fbest, m.oid, m.fbest_score});
+    if (slots_[m.fbest].oid == m.oid) {
+      pairs->push_back(MatchPair{m.fbest, m.oid, m.fbest_score});
     }
   }
-  return pairs;
 }
 
 void BestPairEngine::OnObjectsRemoved(const std::vector<ObjectId>& removed) {
-  if (removed.empty() || obest_.empty()) return;
-  std::unordered_set<ObjectId> removed_set(removed.begin(), removed.end());
-  for (auto it = obest_.begin(); it != obest_.end();) {
-    if (removed_set.count(it->second.oid) > 0) {
-      it = obest_.erase(it);
-    } else {
-      ++it;
+  if (removed.empty()) return;
+  ++epoch_;
+  for (ObjectId oid : removed) {
+    if (oid >= static_cast<ObjectId>(marks_.size())) {
+      marks_.resize(static_cast<size_t>(oid) + 1);
     }
+    marks_[oid].removed_epoch = epoch_;
   }
 }
-
-void BestPairEngine::OnFunctionAssigned(FunctionId fid) { obest_.erase(fid); }
 
 }  // namespace fairmatch

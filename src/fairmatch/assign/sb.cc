@@ -1,7 +1,6 @@
 #include "fairmatch/assign/sb.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "fairmatch/common/check.h"
 #include "fairmatch/common/stats.h"
@@ -51,10 +50,40 @@ bool SBAssignment::RefreshCandidate(ObjectState* state, const Point& point) {
   return true;
 }
 
+SBAssignment::ObjectState& SBAssignment::StateOf(ObjectId oid,
+                                                 bool* created) {
+  int32_t& slot = state_slot_[oid];
+  *created = slot < 0;
+  if (slot < 0) {
+    if (free_slots_.empty()) {
+      slot = static_cast<int32_t>(states_.size());
+      states_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    states_[slot] = ObjectState{state_pool_.Acquire()};
+  }
+  return states_[slot];
+}
+
+void SBAssignment::ReleaseState(ObjectId oid) {
+  int32_t& slot = state_slot_[oid];
+  if (slot < 0) return;
+  state_pool_.Release(std::move(states_[slot].ta));
+  free_slots_.push_back(slot);
+  slot = -1;
+}
+
 size_t SBAssignment::StateBytes() const {
-  size_t bytes = state_pool_.memory_bytes();
-  for (const auto& [oid, state] : states_) {
-    bytes += 48 + state.ta.memory_bytes();
+  // Every slot, live or free: a free slot's TA buffers were moved to the
+  // pool, so it adds only its own footprint.
+  size_t bytes = state_pool_.memory_bytes() +
+                 states_.capacity() * sizeof(ObjectState) +
+                 (state_slot_.capacity() + free_slots_.capacity()) *
+                     sizeof(int32_t);
+  for (const ObjectState& state : states_) {
+    bytes += state.ta.memory_bytes() - sizeof(ReverseTop1State);
   }
   return bytes;
 }
@@ -92,8 +121,14 @@ AssignResult SBAssignment::Run() {
   BestPairEngine engine(&fns);
   MemoryTracker local_memory;
   MemoryTracker& memory = ctx_ != nullptr ? ctx_->memory() : local_memory;
+  states_.clear();
+  free_slots_.clear();
+  state_slot_.assign(problem_->objects.size(), -1);
+  // Per-loop buffers, reused across loops.
+  std::vector<MemberCandidate> members;
+  std::vector<ObjectId> added;
+  std::vector<MatchPair> pairs;
   std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
   bool first = true;
   bool functions_exhausted = false;
 
@@ -122,35 +157,26 @@ AssignResult SBAssignment::Run() {
     if (sky.size() == 0) break;  // objects exhausted
 
     // --- per-member candidates (o.fbest) --------------------------------
-    std::vector<MemberCandidate> members;
-    std::vector<ObjectId> added;
-    members.reserve(sky.size());
+    members.clear();
+    added.clear();
     sky.ForEach([&](int, const SkylineObject& m) {
       if (functions_exhausted) return;
-      auto it = states_.find(m.id);
-      if (it == states_.end()) {
-        // New skyline member: its TA state reuses a retired object's
-        // recycled buffers when the pool has one.
-        it = states_.emplace(m.id, ObjectState{state_pool_.Acquire()})
-                 .first;
-      }
-      ObjectState& state = it->second;
+      bool created = false;
+      ObjectState& state = StateOf(m.id, &created);
       if (!RefreshCandidate(&state, m.point)) {
         functions_exhausted = true;
         return;
       }
       members.push_back(
           MemberCandidate{m.id, &m.point, state.cand_fid, state.cand_score});
-      if (known_members.insert(m.id).second) {
-        added.push_back(m.id);
-      }
+      // A member is new to the engine exactly when its state is.
+      if (created) added.push_back(m.id);
     });
     if (functions_exhausted || members.empty()) break;
 
     // --- stable pair extraction ------------------------------------------
-    std::vector<MatchPair> pairs;
     if (options_.multi_pair) {
-      pairs = engine.FindMutualPairs(members, added);
+      engine.FindMutualPairs(members, added, &pairs);
     } else {
       // Single pair per loop (Algorithm 1): the globally best candidate
       // pair is stable.
@@ -161,7 +187,7 @@ AssignResult SBAssignment::Run() {
           best = &m;
         }
       }
-      pairs.push_back(MatchPair{best->fbest, best->oid, best->fbest_score});
+      pairs.assign(1, MatchPair{best->fbest, best->oid, best->fbest_score});
     }
     // Candidate scores come from (possibly faulted) TA reads while the
     // engine's function-side bests use in-memory scores; corruption can
@@ -179,12 +205,7 @@ AssignResult SBAssignment::Run() {
       }
       if (--ocap[pair.oid] == 0) {
         odel.push_back(pair.oid);
-        auto sit = states_.find(pair.oid);
-        if (sit != states_.end()) {
-          state_pool_.Release(std::move(sit->second.ta));
-          states_.erase(sit);
-        }
-        known_members.erase(pair.oid);
+        ReleaseState(pair.oid);
       }
     }
     engine.OnObjectsRemoved(odel);

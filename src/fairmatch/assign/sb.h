@@ -10,8 +10,9 @@
 #ifndef FAIRMATCH_ASSIGN_SB_H_
 #define FAIRMATCH_ASSIGN_SB_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "fairmatch/assign/best_pair.h"
 #include "fairmatch/assign/problem.h"
@@ -77,6 +78,14 @@ class SBAssignment {
   /// Returns false when every function is exhausted.
   bool RefreshCandidate(ObjectState* state, const Point& point);
 
+  /// The state of skyline member `oid`, created on first sight (with a
+  /// retired object's recycled TA buffers when the pool has one);
+  /// `*created` reports whether it was.
+  ObjectState& StateOf(ObjectId oid, bool* created);
+
+  /// Retires an assigned object's state and parks its TA buffers.
+  void ReleaseState(ObjectId oid);
+
   size_t StateBytes() const;
 
   const AssignmentProblem* problem_;
@@ -92,7 +101,12 @@ class SBAssignment {
   // Count of functions with assigned_[fid] == 0, threaded into the TA
   // search so its exhaustion check is O(1) instead of an |F| scan.
   int64_t remaining_fns_ = 0;
-  std::unordered_map<ObjectId, ObjectState> states_;
+  // Per-member states in a dense vector: state_slot_[oid] indexes
+  // states_ (-1 = not a current skyline member); slots of assigned
+  // objects go on free_slots_ for the next arrival.
+  std::vector<ObjectState> states_;
+  std::vector<int32_t> state_slot_;
+  std::vector<int32_t> free_slots_;
   // Recycles retired objects' TA buffers into newly arriving skyline
   // members' states across loops (no re-growth through the allocator).
   ReverseTop1StatePool state_pool_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <unordered_set>
 #include <vector>
 
 #include "fairmatch/assign/best_pair.h"
@@ -215,6 +214,88 @@ bool WorthFetching(const BatchMemberBlocks& mb, int dims, int d, double coef,
   return false;
 }
 
+/// Mutual-best pairing (Property 2, the same engine as SB) and the
+/// capacity bookkeeping of the pairs, shared by both batch drivers.
+/// Every buffer is reused across loops.
+struct BatchPairing {
+  explicit BatchPairing(const AssignmentProblem& problem)
+      : engine(&problem.functions),
+        assigned(problem.functions.size(), 0),
+        remaining_fns(static_cast<int64_t>(problem.functions.size())),
+        fcap(problem.functions.size()),
+        ocap(problem.objects.size()),
+        known(problem.objects.size(), 0) {
+    for (const PrefFunction& f : problem.functions) fcap[f.id] = f.capacity;
+    for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
+  }
+
+  /// Pairs the members of `mb` (after the loop's batch scan), appends
+  /// the pairs to `matching` and leaves the objects they fully assign
+  /// in `odel`. Returns false when the run ends: no member has an
+  /// unassigned function left, or a faulted run lost its pairs.
+  bool Step(const BatchMemberBlocks& mb, SkylineSet& sky, ExecContext* ctx,
+            Matching* matching) {
+    candidates.clear();
+    added.clear();
+    bool exhausted = false;
+    for (int m = 0; m < mb.m_count; ++m) {
+      if (mb.best_f[m] == kInvalidFunction) {
+        exhausted = true;  // no unassigned function reachable
+        continue;
+      }
+      const SkylineObject& member = sky.at(sky.SlotOf(mb.oid[m]));
+      candidates.push_back(MemberCandidate{mb.oid[m], &member.point,
+                                           mb.best_f[m], mb.best_s[m]});
+      if (!known[mb.oid[m]]) {
+        known[mb.oid[m]] = 1;
+        added.push_back(mb.oid[m]);
+      }
+    }
+    if (candidates.empty()) {
+      FAIRMATCH_CHECK(exhausted);
+      return false;
+    }
+
+    engine.FindMutualPairs(candidates, added, &pairs);
+    // Candidate scores come from (possibly faulted) store reads while the
+    // engine's function-side bests use in-memory scores; corruption can
+    // break the mutual-best guarantee. In a faulted run that is data
+    // loss, not a broken invariant — unwind instead of aborting.
+    if (pairs.empty() && ctx != nullptr && ctx->ShouldAbort()) return false;
+    FAIRMATCH_CHECK(!pairs.empty());
+    for (const MatchPair& pair : pairs) {
+      matching->push_back(pair);
+      if (--fcap[pair.fid] == 0) {
+        assigned[pair.fid] = 1;
+        remaining_fns--;
+        engine.OnFunctionAssigned(pair.fid);
+      }
+      if (--ocap[pair.oid] == 0) {
+        odel.push_back(pair.oid);
+        known[pair.oid] = 0;
+      }
+    }
+    engine.OnObjectsRemoved(odel);
+    return true;
+  }
+
+  size_t memory_bytes() const {
+    return engine.memory_bytes() + known.capacity();
+  }
+
+  BestPairEngine engine;
+  std::vector<uint8_t> assigned;  // function capacity exhausted
+  int64_t remaining_fns;
+  std::vector<ObjectId> odel;  // objects fully assigned this loop
+  std::vector<int> fcap;
+  std::vector<int> ocap;
+  // Members already reported to the engine as joined (indexed by oid).
+  std::vector<uint8_t> known;
+  std::vector<MemberCandidate> candidates;
+  std::vector<ObjectId> added;
+  std::vector<MatchPair> pairs;
+};
+
 }  // namespace
 
 AssignResult SBAltAssignment(const AssignmentProblem& problem,
@@ -224,23 +305,14 @@ AssignResult SBAltAssignment(const AssignmentProblem& problem,
   AssignResult result;
   result.stats.algorithm = "SB-alt";
 
-  const FunctionSet& fns = problem.functions;
   const int dims = problem.dims;
-  const int num_fns = static_cast<int>(fns.size());
-
-  std::vector<uint8_t> assigned(num_fns, 0);
-  std::vector<int> fcap(num_fns);
-  for (const PrefFunction& f : fns) fcap[f.id] = f.capacity;
-  int64_t remaining_fns = num_fns;
-  std::vector<int> ocap(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
+  const int num_fns = static_cast<int>(problem.functions.size());
 
   SkylineManager sky_mgr(&tree);
-  BestPairEngine engine(&fns);
+  BatchPairing pairing(problem);
+  const std::vector<uint8_t>& assigned = pairing.assigned;
   MemoryTracker local_memory;
   MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
-  std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
   bool first = true;
 
   BatchMemberBlocks mb;
@@ -254,7 +326,7 @@ AssignResult SBAltAssignment(const AssignmentProblem& problem,
   const double max_gamma = store->max_gamma();
   const int64_t pages = store->pages_per_list();
 
-  while (remaining_fns > 0) {
+  while (pairing.remaining_fns > 0) {
     // Cancellation point: a storage fault or an expired deadline aborts
     // this run with whatever partial matching is already in `result`.
     if (ctx != nullptr && ctx->ShouldAbort()) break;
@@ -263,9 +335,9 @@ AssignResult SBAltAssignment(const AssignmentProblem& problem,
       sky_mgr.ComputeInitial();
       first = false;
     } else {
-      sky_mgr.RemoveAndUpdate(odel);
+      sky_mgr.RemoveAndUpdate(pairing.odel);
     }
-    odel.clear();
+    pairing.odel.clear();
     SkylineSet& sky = sky_mgr.skyline();
     if (sky.size() == 0) break;
 
@@ -305,50 +377,9 @@ AssignResult SBAltAssignment(const AssignmentProblem& problem,
       if (!progressed) break;  // all lists exhausted
     }
     memory.Set(sky_mgr.memory_bytes() + seen_gen.size() * sizeof(uint32_t) +
-               mb.memory_bytes(dims) + engine.memory_bytes());
+               mb.memory_bytes(dims) + pairing.memory_bytes());
 
-    // Mutual-best pairing (Property 2), same engine as SB.
-    std::vector<MemberCandidate> candidates;
-    std::vector<ObjectId> added;
-    candidates.reserve(mb.m_count);
-    bool exhausted = false;
-    for (int m = 0; m < mb.m_count; ++m) {
-      if (mb.best_f[m] == kInvalidFunction) {
-        exhausted = true;  // no unassigned function reachable
-        continue;
-      }
-      const SkylineObject& member = sky.at(sky.SlotOf(mb.oid[m]));
-      candidates.push_back(MemberCandidate{mb.oid[m], &member.point,
-                                           mb.best_f[m], mb.best_s[m]});
-      if (known_members.insert(mb.oid[m]).second) {
-        added.push_back(mb.oid[m]);
-      }
-    }
-    if (candidates.empty()) {
-      FAIRMATCH_CHECK(exhausted);
-      break;
-    }
-
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(candidates, added);
-    // Candidate scores come from (possibly faulted) store reads while the
-    // engine's function-side bests use in-memory scores; corruption can
-    // break the mutual-best guarantee. In a faulted run that is data
-    // loss, not a broken invariant — unwind instead of aborting.
-    if (pairs.empty() && ctx != nullptr && ctx->ShouldAbort()) break;
-    FAIRMATCH_CHECK(!pairs.empty());
-    for (const MatchPair& pair : pairs) {
-      result.matching.push_back(pair);
-      if (--fcap[pair.fid] == 0) {
-        assigned[pair.fid] = 1;
-        remaining_fns--;
-        engine.OnFunctionAssigned(pair.fid);
-      }
-      if (--ocap[pair.oid] == 0) {
-        odel.push_back(pair.oid);
-        known_members.erase(pair.oid);
-      }
-    }
-    engine.OnObjectsRemoved(odel);
+    if (!pairing.Step(mb, sky, ctx, &result.matching)) break;
   }
 
   result.stats.cpu_ms = timer.ElapsedMs();
@@ -364,23 +395,14 @@ AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
   AssignResult result;
   result.stats.algorithm = "SB-alt-Packed";
 
-  const FunctionSet& fns = problem.functions;
   const int dims = problem.dims;
-  const int num_fns = static_cast<int>(fns.size());
-
-  std::vector<uint8_t> assigned(num_fns, 0);
-  std::vector<int> fcap(num_fns);
-  for (const PrefFunction& f : fns) fcap[f.id] = f.capacity;
-  int64_t remaining_fns = num_fns;
-  std::vector<int> ocap(problem.objects.size());
-  for (const ObjectItem& o : problem.objects) ocap[o.id] = o.capacity;
+  const int num_fns = static_cast<int>(problem.functions.size());
 
   SkylineManager sky_mgr(&tree);
-  BestPairEngine engine(&fns);
+  BatchPairing pairing(problem);
+  const std::vector<uint8_t>& assigned = pairing.assigned;
   MemoryTracker local_memory;
   MemoryTracker& memory = ctx != nullptr ? ctx->memory() : local_memory;
-  std::vector<ObjectId> odel;
-  std::unordered_set<ObjectId> known_members;
   bool first = true;
 
   BatchMemberBlocks mb;
@@ -392,7 +414,7 @@ AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
   const double max_gamma = store->max_gamma();
   const int num_blocks = store->num_blocks();
 
-  while (remaining_fns > 0) {
+  while (pairing.remaining_fns > 0) {
     // Cancellation point (see SBAltAssignment above).
     if (ctx != nullptr && ctx->ShouldAbort()) break;
     result.stats.loops++;
@@ -400,9 +422,9 @@ AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
       sky_mgr.ComputeInitial();
       first = false;
     } else {
-      sky_mgr.RemoveAndUpdate(odel);
+      sky_mgr.RemoveAndUpdate(pairing.odel);
     }
-    odel.clear();
+    pairing.odel.clear();
     SkylineSet& sky = sky_mgr.skyline();
     if (sky.size() == 0) break;
 
@@ -452,50 +474,9 @@ AssignResult SBAltPackedAssignment(const AssignmentProblem& problem,
     }
     memory.Set(sky_mgr.memory_bytes() + seen_gen.size() * sizeof(uint32_t) +
                mb.memory_bytes(dims) + blk_fids.size() * sizeof(int32_t) +
-               engine.memory_bytes());
+               pairing.memory_bytes());
 
-    // Mutual-best pairing (Property 2), same engine as SB.
-    std::vector<MemberCandidate> candidates;
-    std::vector<ObjectId> added;
-    candidates.reserve(mb.m_count);
-    bool exhausted = false;
-    for (int m = 0; m < mb.m_count; ++m) {
-      if (mb.best_f[m] == kInvalidFunction) {
-        exhausted = true;  // no unassigned function reachable
-        continue;
-      }
-      const SkylineObject& member = sky.at(sky.SlotOf(mb.oid[m]));
-      candidates.push_back(MemberCandidate{mb.oid[m], &member.point,
-                                           mb.best_f[m], mb.best_s[m]});
-      if (known_members.insert(mb.oid[m]).second) {
-        added.push_back(mb.oid[m]);
-      }
-    }
-    if (candidates.empty()) {
-      FAIRMATCH_CHECK(exhausted);
-      break;
-    }
-
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(candidates, added);
-    // Candidate scores come from (possibly faulted) store reads while the
-    // engine's function-side bests use in-memory scores; corruption can
-    // break the mutual-best guarantee. In a faulted run that is data
-    // loss, not a broken invariant — unwind instead of aborting.
-    if (pairs.empty() && ctx != nullptr && ctx->ShouldAbort()) break;
-    FAIRMATCH_CHECK(!pairs.empty());
-    for (const MatchPair& pair : pairs) {
-      result.matching.push_back(pair);
-      if (--fcap[pair.fid] == 0) {
-        assigned[pair.fid] = 1;
-        remaining_fns--;
-        engine.OnFunctionAssigned(pair.fid);
-      }
-      if (--ocap[pair.oid] == 0) {
-        odel.push_back(pair.oid);
-        known_members.erase(pair.oid);
-      }
-    }
-    engine.OnObjectsRemoved(odel);
+    if (!pairing.Step(mb, sky, ctx, &result.matching)) break;
   }
 
   result.stats.cpu_ms = timer.ElapsedMs();

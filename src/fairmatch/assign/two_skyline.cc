@@ -4,8 +4,6 @@
 #include <array>
 #include <map>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fairmatch/assign/best_pair.h"
@@ -50,7 +48,6 @@ class FunctionSkyline {
     auto it = member_order_.find(std::make_pair(-sums_[fid], fid));
     if (it == member_order_.end()) return;  // dominated: lazily skipped
     member_order_.erase(it);
-    members_.erase(fid);
     std::vector<FunctionId> pending = std::move(plist_[fid]);
     plist_[fid].clear();
     std::sort(pending.begin(), pending.end(),
@@ -69,8 +66,6 @@ class FunctionSkyline {
   void ForEachMember(Fn&& fn) const {
     for (const auto& [key, fid] : member_order_) fn(fid);
   }
-
-  size_t size() const { return members_.size(); }
 
   size_t memory_bytes() const {
     size_t bytes = sums_.size() * 8 + removed_.size() +
@@ -105,7 +100,6 @@ class FunctionSkyline {
       }
     }
     member_order_.emplace(std::make_pair(-sums_[fid], fid), fid);
-    members_.insert(fid);
   }
 
   const FunctionSet* fns_;
@@ -113,7 +107,6 @@ class FunctionSkyline {
   std::vector<uint8_t> removed_;
   std::vector<std::vector<FunctionId>> plist_;
   std::map<std::pair<double, FunctionId>, FunctionId> member_order_;
-  std::unordered_set<FunctionId> members_;
 };
 
 }  // namespace
@@ -146,8 +139,13 @@ AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
     FunctionId fid = kInvalidFunction;
     double score = 0.0;
   };
-  std::unordered_map<ObjectId, Cand> cands;
-  std::unordered_set<ObjectId> known_members;
+  // Indexed by oid; cands[oid].fid == kInvalidFunction until the object
+  // first joins the skyline, and again once it is fully assigned.
+  std::vector<Cand> cands(problem.objects.size());
+  // Per-loop buffers, reused across loops.
+  std::vector<MemberCandidate> members;
+  std::vector<ObjectId> added;
+  std::vector<MatchPair> pairs;
   std::vector<ObjectId> odel;
   bool first = true;
   bool exhausted = false;
@@ -167,13 +165,13 @@ AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
     SkylineSet& sky = sky_mgr.skyline();
     if (sky.size() == 0) break;
 
-    std::vector<MemberCandidate> members;
-    std::vector<ObjectId> added;
-    members.reserve(sky.size());
+    members.clear();
+    added.clear();
     sky.ForEach([&](int, const SkylineObject& m) {
       if (exhausted) return;
       Cand& cand = cands[m.id];
-      if (cand.fid == kInvalidFunction || assigned[cand.fid]) {
+      const bool joined = cand.fid == kInvalidFunction;
+      if (joined || assigned[cand.fid]) {
         // Exhaustive scan over the function skyline (Section 6.2).
         cand.fid = kInvalidFunction;
         fsky.ForEachMember([&](FunctionId fid) {
@@ -190,13 +188,11 @@ AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
         }
       }
       members.push_back(MemberCandidate{m.id, &m.point, cand.fid, cand.score});
-      if (known_members.insert(m.id).second) {
-        added.push_back(m.id);
-      }
+      if (joined) added.push_back(m.id);
     });
     if (exhausted || members.empty()) break;
 
-    std::vector<MatchPair> pairs = engine.FindMutualPairs(members, added);
+    engine.FindMutualPairs(members, added, &pairs);
     FAIRMATCH_CHECK(!pairs.empty());
     for (const MatchPair& pair : pairs) {
       result.matching.push_back(pair);
@@ -208,13 +204,12 @@ AssignResult TwoSkylineAssignment(const AssignmentProblem& problem,
       }
       if (--ocap[pair.oid] == 0) {
         odel.push_back(pair.oid);
-        cands.erase(pair.oid);
-        known_members.erase(pair.oid);
+        cands[pair.oid] = Cand{};
       }
     }
     engine.OnObjectsRemoved(odel);
     memory.Set(sky_mgr.memory_bytes() + fsky.memory_bytes() +
-               cands.size() * 32 + engine.memory_bytes());
+               cands.capacity() * sizeof(Cand) + engine.memory_bytes());
   }
 
   result.stats.cpu_ms = timer.ElapsedMs();

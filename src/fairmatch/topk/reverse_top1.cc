@@ -188,6 +188,35 @@ int ReverseTop1::PickList(const ReverseTop1State& state, const Point& o) {
   return best;
 }
 
+void ReverseTop1::ScoreBlock(ReverseTop1State* state, const Point& o,
+                             const std::vector<uint8_t>& assigned,
+                             int count) {
+  const int dims = packed_->dims();
+  CandidateQueue& queue = state->queue_;
+  const size_t capacity = static_cast<size_t>(state->omega_left_);
+  for (int i = 0; i < count; ++i) {
+    const FunctionId fid = scratch_fids_[i];
+    if (Seen(*state, fid)) continue;
+    MarkSeen(state, fid);
+    if (assigned[fid]) continue;
+    // PackedFunctionStore::ScoreOf without the virtual call: the same
+    // ascending-dimension double accumulation, so bit-identical scores.
+    const double* eff = packed_->EffRow(fid);
+    double score = 0.0;
+    for (int k = 0; k < dims; ++k) score += eff[k] * o[k];
+    const ScoredCandidate candidate{score, fid};
+    if (queue.size() < capacity) {
+      queue.Push(candidate);
+    } else if (candidate < queue.worst()) {
+      // A full queue keeps the candidate only if it orders before the
+      // worst entry: the outcome of push-then-evict-worst without
+      // inserting the candidates that would be evicted at once.
+      queue.PopWorst();
+      queue.Push(candidate);
+    }
+  }
+}
+
 std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
     ReverseTop1State* state, const Point& o,
     const std::vector<uint8_t>& assigned, int64_t num_unassigned) {
@@ -248,17 +277,7 @@ std::optional<std::pair<FunctionId, double>> ReverseTop1::Best(
       const int count = packed_->DecodeBlock(d, pos, scratch_fids_.data());
       probes_ += count;
       if (use_caches_) RefreshFrontier(state, o, d);
-      for (int i = 0; i < count; ++i) {
-        const FunctionId fid = scratch_fids_[i];
-        if (Seen(*state, fid)) continue;
-        MarkSeen(state, fid);
-        if (assigned[fid]) continue;
-        const double score = index_->ScoreOf(fid, o);
-        state->queue_.Push(ScoredCandidate{score, fid});
-        if (static_cast<int>(state->queue_.size()) > state->omega_left_) {
-          state->queue_.PopWorst();
-        }
-      }
+      ScoreBlock(state, o, assigned, count);
       continue;
     }
     probes_++;

@@ -109,6 +109,10 @@ class CandidateQueue {
   const ScoredCandidate& best() const {
     return use_heap_ ? heap_.min() : ring_[head_];
   }
+  /// The entry PopWorst() would evict (queue must be non-empty).
+  const ScoredCandidate& worst() const {
+    return use_heap_ ? heap_.max() : ring_.back();
+  }
 
   void PopBest() {
     if (use_heap_) {
@@ -277,6 +281,11 @@ class ReverseTop1 {
 
   /// Picks the list to probe next; -1 when all lists are exhausted.
   int PickList(const ReverseTop1State& state, const Point& o);
+
+  /// Scores the first `count` ids of scratch_fids_ (one decoded block)
+  /// against `o` and offers the unseen, unassigned ones to the queue.
+  void ScoreBlock(ReverseTop1State* state, const Point& o,
+                  const std::vector<uint8_t>& assigned, int count);
 
   /// Refreshes the cached frontier/gains/threshold of dim `d` after its
   /// position advanced (memory-resident fast path only).

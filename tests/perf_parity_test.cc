@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "fairmatch/assign/sb.h"
 #include "fairmatch/engine/exec_context.h"
 #include "fairmatch/topk/function_lists.h"
+#include "fairmatch/topk/packed_function_lists.h"
 #include "test_util.h"
 
 namespace fairmatch {
@@ -252,33 +254,93 @@ const TaChurnGolden kTaChurnGoldens[] = {
     {false, 0.006, 2718, 15, 0x6894588dbdd8aa40ull},
 };
 
+struct TaChurnRun {
+  int64_t probes;
+  int64_t restarts;
+  uint64_t result_hash;
+};
+
+// Runs the churn over the FunctionLists index, or over a
+// PackedFunctionStore of `block_entries`-entry blocks when that is > 0.
+TaChurnRun RunTaChurn(ReverseTop1Options options, int block_entries) {
+  Rng rng(9301);
+  FunctionSet fns = GenerateFunctions(400, 4, &rng);
+  std::unique_ptr<FunctionIndexBase> index;
+  if (block_entries > 0) {
+    PackedStoreOptions store;
+    store.block_entries = block_entries;
+    index = std::make_unique<PackedFunctionStore>(fns, store);
+  } else {
+    index = std::make_unique<FunctionLists>(&fns);
+  }
+  ReverseTop1 rt1(index.get(), options);
+  auto points = GeneratePoints(Distribution::kAntiCorrelated, 50, 4, &rng);
+  std::vector<uint8_t> assigned(fns.size(), 0);
+  std::vector<ReverseTop1State> states(points.size());
+  uint64_t h = 1469598103934665603ull;
+  for (int round = 0; round < 10; ++round) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      auto got = rt1.Best(&states[i], points[i], assigned);
+      h = Fnv1a(h, got.has_value() ? static_cast<uint64_t>(got->first)
+                                   : 0xdeadull);
+    }
+    for (size_t f = round; f < fns.size(); f += 11) assigned[f] = 1;
+  }
+  return TaChurnRun{rt1.probes(), rt1.restarts(), h};
+}
+
 TEST(PerfParityTest, TaProbeSequenceMatchesSeed) {
   for (const TaChurnGolden& golden : kTaChurnGoldens) {
-    Rng rng(9301);
-    FunctionSet fns = GenerateFunctions(400, 4, &rng);
-    FunctionLists lists(&fns);
     ReverseTop1Options options;
     options.omega = golden.omega;
     options.biased_probing = golden.biased;
-    ReverseTop1 rt1(&lists, options);
-    auto points = GeneratePoints(Distribution::kAntiCorrelated, 50, 4, &rng);
-    std::vector<uint8_t> assigned(fns.size(), 0);
-    std::vector<ReverseTop1State> states(points.size());
-    uint64_t h = 1469598103934665603ull;
-    for (int round = 0; round < 10; ++round) {
-      for (size_t i = 0; i < points.size(); ++i) {
-        auto got = rt1.Best(&states[i], points[i], assigned);
-        h = Fnv1a(h, got.has_value() ? static_cast<uint64_t>(got->first)
-                                     : 0xdeadull);
-      }
-      for (size_t f = round; f < fns.size(); f += 11) assigned[f] = 1;
-    }
-    EXPECT_EQ(rt1.probes(), golden.probes)
+    const TaChurnRun got = RunTaChurn(options, 0);
+    EXPECT_EQ(got.probes, golden.probes)
         << "biased=" << golden.biased << " omega=" << golden.omega;
-    EXPECT_EQ(rt1.restarts(), golden.restarts)
+    EXPECT_EQ(got.restarts, golden.restarts)
         << "biased=" << golden.biased << " omega=" << golden.omega;
-    EXPECT_EQ(h, golden.result_hash)
+    EXPECT_EQ(got.result_hash, golden.result_hash)
         << "biased=" << golden.biased << " omega=" << golden.omega;
+  }
+}
+
+struct TaImpactGolden {
+  bool biased;
+  double omega;
+  int block_entries;
+  int64_t probes;
+  int64_t restarts;
+  uint64_t result_hash;
+};
+
+// The same churn under the impact-ordered block traversal over a
+// PackedFunctionStore: whole blocks are scored per probe, so the queue
+// admission and eviction order decides which candidates survive. The
+// rows were captured before the block scorer stopped pushing entries
+// that the full queue would evict at once; any change to what enters
+// the queue moves the probe count, the restarts or the returned ids.
+const TaImpactGolden kTaImpactGoldens[] = {
+    {true, 0.025, 128, 6912, 0, 0x6894588dbdd8aa40ull},
+    {true, 0.006, 128, 9344, 16, 0x6894588dbdd8aa40ull},
+    {false, 0.025, 128, 15488, 0, 0x6894588dbdd8aa40ull},
+    {false, 0.006, 128, 20608, 16, 0x6894588dbdd8aa40ull},
+    {true, 0.025, 16, 1360, 0, 0x6894588dbdd8aa40ull},
+    {true, 0.006, 16, 1888, 16, 0x6894588dbdd8aa40ull},
+};
+
+TEST(PerfParityTest, TaImpactOrderedProbeSequenceMatchesSeed) {
+  for (const TaImpactGolden& golden : kTaImpactGoldens) {
+    ReverseTop1Options options;
+    options.omega = golden.omega;
+    options.biased_probing = golden.biased;
+    options.impact_ordered = true;
+    const TaChurnRun got = RunTaChurn(options, golden.block_entries);
+    const std::string row = "biased=" + std::to_string(golden.biased) +
+                            " omega=" + std::to_string(golden.omega) +
+                            " block=" + std::to_string(golden.block_entries);
+    EXPECT_EQ(got.probes, golden.probes) << row;
+    EXPECT_EQ(got.restarts, golden.restarts) << row;
+    EXPECT_EQ(got.result_hash, golden.result_hash) << row;
   }
 }
 

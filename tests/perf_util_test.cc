@@ -144,6 +144,8 @@ TEST(CandidateQueueTest, BothRegimesMatchSortedVectorModel) {
       if (!model.empty() && rng.UniformInt(0, 4) == 0) {
         ASSERT_EQ(queue.best().fid, model.front().fid);
         ASSERT_EQ(queue.best().score, model.front().score);
+        ASSERT_EQ(queue.worst().fid, model.back().fid);
+        ASSERT_EQ(queue.worst().score, model.back().score);
         queue.PopBest();
         model.erase(model.begin());
         continue;
@@ -160,9 +162,12 @@ TEST(CandidateQueueTest, BothRegimesMatchSortedVectorModel) {
       }
       ASSERT_EQ(queue.size(), model.size());
       ASSERT_EQ(queue.best().fid, model.front().fid);
+      ASSERT_EQ(queue.worst().fid, model.back().fid);
+      ASSERT_EQ(queue.worst().score, model.back().score);
     }
     while (!model.empty()) {
       ASSERT_EQ(queue.best().fid, model.front().fid);
+      ASSERT_EQ(queue.worst().fid, model.back().fid);
       queue.PopBest();
       model.erase(model.begin());
     }
