@@ -13,9 +13,13 @@ row present in both reports:
   * median cpu_ms regressed by more than REGRESSION_FACTOR (default
     1.30, i.e. >30%) on rows large enough to measure (>= MIN_CPU_MS),
 
-or when a row present in the previous report disappeared (a figure or
-matcher silently dropped out). New rows are allowed — they have no
-baseline yet.
+or when a row present in the previous report disappeared from a figure
+the current report still carries (a matcher or cell silently dropped
+out). A figure absent from the current report altogether was retired on
+purpose: it gets one "retired figure" note, not a failure
+(check_bench_report.py already fails a registered figure that produced
+no rows, so a figure cannot drop out silently). New rows are allowed —
+they have no baseline yet.
 """
 import json
 import os
@@ -66,9 +70,14 @@ def main():
         )
         return 0
 
+    current_figures = set(cur_report.get("figures", {}))
+    retired = {}
     failures = []
     slowdowns = []
     for key, prev in sorted(prev_rows.items()):
+        if key[0] not in current_figures:
+            retired[key[0]] = retired.get(key[0], 0) + 1
+            continue
         cur = cur_rows.get(key)
         label = "/".join(k for k in key if k)
         if cur is None:
@@ -89,6 +98,8 @@ def main():
                 f"(x{cur['cpu_ms'] / prev['cpu_ms']:.2f})"
             )
 
+    for figure, count in sorted(retired.items()):
+        note(f"retired figure {figure} ({count} baseline rows not compared)")
     for line in failures + slowdowns:
         note(f"FAIL: {line}")
     if failures or slowdowns:
@@ -98,7 +109,7 @@ def main():
         )
         return 1
     note(
-        f"OK — {len(prev_rows)} baseline rows match "
+        f"OK — {len(prev_rows) - sum(retired.values())} baseline rows match "
         f"(baseline git_sha={prev_report.get('git_sha')}, "
         f"cpu threshold x{REGRESSION_FACTOR}, floor {MIN_CPU_MS}ms)"
     )

@@ -77,20 +77,6 @@ struct BatchBenchParams {
 void SetBatchBenchParams(BatchBenchParams params);
 const BatchBenchParams& GetBatchBenchParams();
 
-/// Parameters of the serving_latency figure, set by the driver's
-/// --serve-lanes / --arrival / --requests flags before figures expand.
-struct ServeBenchParams {
-  /// Server lane counts swept as the figure's x axis.
-  std::vector<int> lanes = {1, 2, 4};
-  /// Open-loop arrival rates (requests/second), one section each.
-  std::vector<int> arrival_per_sec = {100, 400};
-  /// Requests per experiment; 0 picks the scale default (Scaled(192),
-  /// at least 24).
-  int requests = 0;
-};
-void SetServeBenchParams(ServeBenchParams params);
-const ServeBenchParams& GetServeBenchParams();
-
 /// True iff the two configurations generate the same problem instance
 /// (BuildProblem inputs match; run-time knobs like the buffer fraction
 /// are ignored). The driver uses this to share one generated problem

@@ -182,32 +182,6 @@ int RunDriver(const DriverOptions& options) {
     params.batch_items = options.batch_items;
     SetBatchBenchParams(std::move(params));
   }
-  for (const int value : options.serve_lanes) {
-    if (value < 1) {
-      std::cerr << "--serve-lanes entries must be >= 1\n";
-      return 2;
-    }
-  }
-  for (const int value : options.arrival_per_sec) {
-    if (value < 1) {
-      std::cerr << "--arrival entries must be >= 1\n";
-      return 2;
-    }
-  }
-  if (options.serve_requests < 0) {
-    std::cerr << "serve_requests must be >= 0 (0 = scale default)\n";
-    return 2;
-  }
-  {
-    // Same pre-expansion fixing for the serving figure's sweeps.
-    ServeBenchParams params;
-    if (!options.serve_lanes.empty()) params.lanes = options.serve_lanes;
-    if (!options.arrival_per_sec.empty()) {
-      params.arrival_per_sec = options.arrival_per_sec;
-    }
-    params.requests = options.serve_requests;
-    SetServeBenchParams(std::move(params));
-  }
   if (options.format != "text" && options.format != "csv" &&
       options.format != "json") {
     std::cerr << "unknown format '" << options.format

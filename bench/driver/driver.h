@@ -39,15 +39,6 @@ struct DriverOptions {
   /// Problem instances per batch for batch_throughput; 0 keeps the
   /// scale default.
   int batch_items = 0;
-  /// Server lane counts for the serving_latency figure (its x axis);
-  /// empty keeps the ServeBenchParams default {1, 2, 4}.
-  std::vector<int> serve_lanes;
-  /// Open-loop arrival rates (req/s) for serving_latency; empty keeps
-  /// the default {100, 400}.
-  std::vector<int> arrival_per_sec;
-  /// Requests per serving_latency experiment; 0 keeps the scale
-  /// default.
-  int serve_requests = 0;
 };
 
 /// One expanded figure, ready to execute.

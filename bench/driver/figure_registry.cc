@@ -9,10 +9,6 @@ void RegisterBuiltinFigures(FigureRegistry* registry);
 void RegisterMicroFigures(FigureRegistry* registry);
 void RegisterBatchFigure(FigureRegistry* registry);
 void RegisterPackedFigures(FigureRegistry* registry);
-void RegisterServeFigure(FigureRegistry* registry);
-void RegisterFaultFigure(FigureRegistry* registry);
-void RegisterUpdateFigure(FigureRegistry* registry);
-void RegisterRecoveryFigure(FigureRegistry* registry);
 
 FigureRegistry& FigureRegistry::Global() {
   static FigureRegistry* registry = [] {
@@ -21,10 +17,6 @@ FigureRegistry& FigureRegistry::Global() {
     RegisterMicroFigures(r);
     RegisterBatchFigure(r);
     RegisterPackedFigures(r);
-    RegisterServeFigure(r);
-    RegisterFaultFigure(r);
-    RegisterUpdateFigure(r);
-    RegisterRecoveryFigure(r);
     return r;
   }();
   return *registry;

@@ -37,12 +37,6 @@ constexpr char kUsage[] =
                            (default: 1,2,4,8)
   --batch=K                problem instances per batch for batch_throughput
                            (default: scale-dependent)
-  --serve-lanes=N[,N...]   server lane counts swept by serving_latency
-                           (default: 1,2,4)
-  --arrival=R[,R...]       open-loop arrival rates in req/s for
-                           serving_latency (default: 100,400)
-  --requests=K             requests per serving_latency experiment
-                           (default: scale-dependent)
   --list                   print registered figures and matchers, then exit
   --list-names             print figure names only (machine-readable)
   --help                   this text
@@ -149,47 +143,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       options.batch_items = static_cast<int>(items);
-    } else if (ParseFlag(arg, "serve-lanes", &value)) {
-      options.serve_lanes.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        char* end = nullptr;
-        const long lanes = std::strtol(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0' || lanes < 1) {
-          std::cerr << "--serve-lanes expects positive integers, got '"
-                    << value << "'\n";
-          return 2;
-        }
-        options.serve_lanes.push_back(static_cast<int>(lanes));
-      }
-      if (options.serve_lanes.empty()) {
-        std::cerr << "--serve-lanes expects at least one lane count\n";
-        return 2;
-      }
-    } else if (ParseFlag(arg, "arrival", &value)) {
-      options.arrival_per_sec.clear();
-      for (const std::string& part : SplitCommas(value)) {
-        char* end = nullptr;
-        const long rate = std::strtol(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0' || rate < 1) {
-          std::cerr << "--arrival expects positive req/s rates, got '"
-                    << value << "'\n";
-          return 2;
-        }
-        options.arrival_per_sec.push_back(static_cast<int>(rate));
-      }
-      if (options.arrival_per_sec.empty()) {
-        std::cerr << "--arrival expects at least one rate\n";
-        return 2;
-      }
-    } else if (ParseFlag(arg, "requests", &value)) {
-      char* end = nullptr;
-      const long requests = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || requests < 1) {
-        std::cerr << "--requests expects a positive integer, got '" << value
-                  << "'\n";
-        return 2;
-      }
-      options.serve_requests = static_cast<int>(requests);
     } else {
       std::cerr << "unknown flag '" << arg << "'\n\n" << kUsage;
       return 2;

@@ -24,24 +24,40 @@
 //     sequence per hit/miss mix; io = physical reads + writes, pairs =
 //     fetches, loops = buffer hits — identical for both
 //     implementations, so only cpu_ms separates the rows.
+//   micro_rtree — bulk load, one-by-one insert, and delete of every
+//     other record on an in-memory tree; io = live nodes after the
+//     operation, pairs = records loaded/inserted/deleted, loops = tree
+//     height.
+//   micro_candidate_queue — the reverse top-1's bounded candidate
+//     queue under seeded push / evict-worst / pop-best churn, at
+//     capacities on both sides of its ring-to-heap switch (no figure's
+//     Omega reaches the heap); io = evictions, pairs = pushes, loops =
+//     the sum of the popped-best function ids.
+//   micro_ranked_search — one BRS top-1 (RankedSearch::Next) per
+//     function over a paged object tree; io = counted node reads,
+//     pairs = searches, loops = the sum of the returned object ids.
 #include <algorithm>
 #include <cstring>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "driver/figure_registry.h"
+#include "fairmatch/common/check.h"
 #include "fairmatch/common/rng.h"
 #include "fairmatch/common/simd.h"
 #include "fairmatch/common/timer.h"
 #include "fairmatch/engine/exec_context.h"
 #include "fairmatch/rtree/node_store.h"
+#include "fairmatch/rtree/rtree.h"
 #include "fairmatch/skyline/bbs.h"
 #include "fairmatch/storage/buffer_pool.h"
 #include "fairmatch/storage/disk_manager.h"
 #include "fairmatch/topk/function_lists.h"
+#include "fairmatch/topk/ranked_search.h"
 #include "fairmatch/topk/reverse_top1.h"
 
 namespace fairmatch::bench {
@@ -300,6 +316,109 @@ RunStats RunMicroBufferPool(bool sharded, double capacity_fraction) {
   return stats;
 }
 
+enum class RTreeOp { kBulkLoad, kInsert, kDelete };
+
+const char* RTreeOpName(RTreeOp op) {
+  switch (op) {
+    case RTreeOp::kBulkLoad:
+      return "bulk-load";
+    case RTreeOp::kInsert:
+      return "insert";
+    case RTreeOp::kDelete:
+      return "delete";
+  }
+  return "";
+}
+
+// One R-tree maintenance operation over the problem's objects on an
+// in-memory store. Only the operation itself is timed: the delete row
+// bulk loads first, untimed, then removes every other record.
+RunStats RunMicroRTree(const AssignmentProblem& problem, RTreeOp op) {
+  std::vector<ObjectRecord> records;
+  records.reserve(problem.objects.size());
+  for (const ObjectItem& o : problem.objects) records.push_back({o.point, o.id});
+  MemNodeStore store(problem.dims);
+  RTree tree(&store);
+  RunStats stats;
+  stats.algorithm = RTreeOpName(op);
+  Timer timer;
+  switch (op) {
+    case RTreeOp::kBulkLoad:
+      stats.pairs = records.size();
+      tree.BulkLoad(std::move(records));
+      break;
+    case RTreeOp::kInsert:
+      for (const ObjectRecord& r : records) tree.Insert(r.point, r.id);
+      stats.pairs = records.size();
+      break;
+    case RTreeOp::kDelete:
+      tree.BulkLoad(records);
+      timer.Restart();
+      for (size_t i = 0; i < records.size(); i += 2) {
+        if (tree.Delete(records[i].point, records[i].id)) stats.pairs++;
+      }
+      break;
+  }
+  stats.cpu_ms = timer.ElapsedMs();
+  stats.io_accesses = tree.CountNodes();
+  stats.loops = tree.height();
+  stats.peak_memory_bytes = store.memory_bytes();
+  return stats;
+}
+
+RunStats RunMicroCandidateQueue(int capacity) {
+  const int ops = Scaled(400000, 16 * capacity);  // every row evicts
+  Rng rng(77);
+  std::vector<double> keys(ops);
+  for (double& k : keys) k = rng.Uniform();
+  RunStats stats;
+  stats.algorithm = "CandidateQueue";
+  Timer timer;
+  CandidateQueue queue;
+  queue.Reset(capacity);
+  for (int op = 0; op < ops; ++op) {
+    queue.Push(ScoredCandidate{keys[op], op});
+    if (static_cast<int>(queue.size()) > capacity) {
+      queue.PopWorst();
+      stats.io_accesses++;
+    }
+    if ((op & 7) == 7) {
+      stats.loops += queue.best().fid;
+      queue.PopBest();
+    }
+  }
+  stats.cpu_ms = timer.ElapsedMs();
+  stats.pairs = static_cast<uint64_t>(ops);
+  stats.peak_memory_bytes = queue.memory_bytes();
+  return stats;
+}
+
+// BRS top-1 for every function over a paged (counted-I/O) object tree:
+// a fresh RankedSearch per function, one Next() each — the Brute Force
+// baseline's first step for every query.
+RunStats RunMicroRankedSearch(const AssignmentProblem& problem,
+                              const BenchConfig& config) {
+  ExecContext ctx;
+  PagedNodeStore store(problem.dims, 4096, &ctx.counters());
+  RTree tree(&store);
+  BuildObjectTree(problem, &tree);
+  store.ResetCounters();  // exclude the build phase
+  store.SetBufferFraction(config.buffer_fraction);
+  ctx.BeginRun();
+  RunStats stats;
+  stats.algorithm = "BRS-top1";
+  for (const PrefFunction& f : problem.functions) {
+    RankedSearch search(&tree, &f);
+    const std::optional<RankedHit> hit = search.Next();
+    FAIRMATCH_CHECK(hit.has_value());
+    stats.pairs++;
+    stats.loops += hit->id;
+    ctx.memory().Set(search.memory_bytes());
+  }
+  ctx.Finish(&stats);
+  return stats;
+}
+
 std::vector<FigureSection> MicroSimdScore() {
   FigureSection s;
   s.title = "Micro: SIMD member-block scoring";
@@ -408,6 +527,78 @@ std::vector<FigureSection> MicroBbs() {
   return {s};
 }
 
+std::vector<FigureSection> MicroRTree() {
+  FigureSection s;
+  s.title = "Micro: R-tree bulk load / insert / delete";
+  s.subtitle =
+      "in-memory store, D=4 independent, x = |O| (io = live nodes after, "
+      "pairs = records touched, loops = height)";
+  for (int no : {10000, 100000}) {
+    BenchConfig config;
+    config.num_objects = no;
+    config.num_functions = 10;  // unused by the runner; keep generation cheap
+    config.distribution = Distribution::kIndependent;
+    config = Scale(config);
+    std::vector<MeasuredRun> runs;
+    for (RTreeOp op : {RTreeOp::kBulkLoad, RTreeOp::kInsert,
+                       RTreeOp::kDelete}) {
+      MeasuredRun run;
+      run.algorithm = RTreeOpName(op);
+      run.runner = [op](const AssignmentProblem& problem,
+                        const BenchConfig&) {
+        return RunMicroRTree(problem, op);
+      };
+      runs.push_back(std::move(run));
+    }
+    s.cells.push_back({std::to_string(no), config, nullptr, std::move(runs)});
+  }
+  return {s};
+}
+
+std::vector<FigureSection> MicroCandidateQueue() {
+  FigureSection s;
+  s.title = "Micro: reverse top-1 candidate queue churn";
+  s.subtitle =
+      "seeded push / evict-worst / pop-best every 8th, x = capacity "
+      "(ring up to 512, min-max heap above; io = evictions)";
+  for (int capacity : {64, 512, 4096}) {
+    BenchConfig config;
+    config.num_functions = 10;
+    config.num_objects = 100;
+    config = Scale(config);
+    MeasuredRun run;
+    run.algorithm = "CandidateQueue";
+    run.runner = [capacity](const AssignmentProblem&, const BenchConfig&) {
+      return RunMicroCandidateQueue(capacity);
+    };
+    s.cells.push_back(
+        {std::to_string(capacity), config, nullptr, {std::move(run)}});
+  }
+  return {s};
+}
+
+std::vector<FigureSection> MicroRankedSearch() {
+  FigureSection s;
+  s.title = "Micro: BRS ranked-search top-1";
+  s.subtitle =
+      "paged object tree, 64 functions, D=4 anti-correlated, x = |O| "
+      "(io = node reads, loops = sum of top-1 ids)";
+  for (int no : {20000, 100000}) {
+    BenchConfig config;
+    config.num_objects = no;
+    config = Scale(config);
+    config.num_functions = 64;
+    MeasuredRun run;
+    run.algorithm = "BRS-top1";
+    run.runner = [](const AssignmentProblem& problem,
+                    const BenchConfig& c) {
+      return RunMicroRankedSearch(problem, c);
+    };
+    s.cells.push_back({std::to_string(no), config, nullptr, {std::move(run)}});
+  }
+  return {s};
+}
+
 }  // namespace
 
 void RegisterMicroFigures(FigureRegistry* registry) {
@@ -439,6 +630,26 @@ void RegisterMicroFigures(FigureRegistry* registry) {
       "open addressing";
   pool.sections = MicroBufferPool;
   registry->Register(std::move(pool));
+
+  FigureSpec rtree;
+  rtree.name = "micro_rtree";
+  rtree.description =
+      "Microbench: R-tree bulk load, insert and delete";
+  rtree.sections = MicroRTree;
+  registry->Register(std::move(rtree));
+
+  FigureSpec queue;
+  queue.name = "micro_candidate_queue";
+  queue.description =
+      "Microbench: reverse top-1 candidate queue, ring and min-max heap";
+  queue.sections = MicroCandidateQueue;
+  registry->Register(std::move(queue));
+
+  FigureSpec brs;
+  brs.name = "micro_ranked_search";
+  brs.description = "Microbench: BRS ranked-search top-1 per function";
+  brs.sections = MicroRankedSearch;
+  registry->Register(std::move(brs));
 }
 
 }  // namespace fairmatch::bench

@@ -62,7 +62,6 @@ SBAssignment::ObjectState& SBAssignment::StateOf(ObjectId oid,
       slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    states_[slot] = ObjectState{state_pool_.Acquire()};
   }
   return states_[slot];
 }
@@ -70,16 +69,18 @@ SBAssignment::ObjectState& SBAssignment::StateOf(ObjectId oid,
 void SBAssignment::ReleaseState(ObjectId oid) {
   int32_t& slot = state_slot_[oid];
   if (slot < 0) return;
-  state_pool_.Release(std::move(states_[slot].ta));
+  ObjectState& state = states_[slot];
+  state.ta.Recycle();
+  state.cand_fid = kInvalidFunction;
+  state.cand_score = 0.0;
   free_slots_.push_back(slot);
   slot = -1;
 }
 
 size_t SBAssignment::StateBytes() const {
-  // Every slot, live or free: a free slot's TA buffers were moved to the
-  // pool, so it adds only its own footprint.
-  size_t bytes = state_pool_.memory_bytes() +
-                 states_.capacity() * sizeof(ObjectState) +
+  // Every slot, live or free: a free slot keeps its TA buffers for the
+  // next arrival.
+  size_t bytes = states_.capacity() * sizeof(ObjectState) +
                  (state_slot_.capacity() + free_slots_.capacity()) *
                      sizeof(int32_t);
   for (const ObjectState& state : states_) {

@@ -78,12 +78,13 @@ class SBAssignment {
   /// Returns false when every function is exhausted.
   bool RefreshCandidate(ObjectState* state, const Point& point);
 
-  /// The state of skyline member `oid`, created on first sight (with a
-  /// retired object's recycled TA buffers when the pool has one);
-  /// `*created` reports whether it was.
+  /// The state of skyline member `oid`, created on first sight (in a
+  /// retired object's slot, with its recycled TA buffers, when one is
+  /// free); `*created` reports whether it was.
   ObjectState& StateOf(ObjectId oid, bool* created);
 
-  /// Retires an assigned object's state and parks its TA buffers.
+  /// Retires an assigned object's state: its slot goes on free_slots_
+  /// with the TA buffers recycled in place.
   void ReleaseState(ObjectId oid);
 
   size_t StateBytes() const;
@@ -103,13 +104,11 @@ class SBAssignment {
   int64_t remaining_fns_ = 0;
   // Per-member states in a dense vector: state_slot_[oid] indexes
   // states_ (-1 = not a current skyline member); slots of assigned
-  // objects go on free_slots_ for the next arrival.
+  // objects go on free_slots_ and keep their TA buffers, so the next
+  // arrival reuses them without re-growth through the allocator.
   std::vector<ObjectState> states_;
   std::vector<int32_t> state_slot_;
   std::vector<int32_t> free_slots_;
-  // Recycles retired objects' TA buffers into newly arriving skyline
-  // members' states across loops (no re-growth through the allocator).
-  ReverseTop1StatePool state_pool_;
 };
 
 }  // namespace fairmatch

@@ -66,9 +66,9 @@ enum class ErrorCode {
   kDataLoss = 7,
 };
 
-// The values are part of the output, not just the API: the
-// fault_recovery bench digest (bench/driver/fault_figure.cc) hashes a
-// response's numeric status code, so renumbering changes its golden.
+// The numeric values are pinned here and by
+// StatusTest.EveryCodeIsNamedAndMade. No stored format or digest
+// hashes them, so a renumbering only has to update those two places.
 static_assert(static_cast<int>(ErrorCode::kOk) == 0);
 static_assert(static_cast<int>(ErrorCode::kNotFound) == 1);
 static_assert(static_cast<int>(ErrorCode::kInvalidArgument) == 2);

@@ -58,7 +58,8 @@ struct DurableOptions {
 
   /// Checkpoint (snapshot + manifest commit + WAL rotation) after this
   /// many WAL records. Smaller = cheaper recovery replay, pricier
-  /// applies — the recovery_time bench figure measures the trade.
+  /// applies — perfbench's ingest_serve workload measures the trade
+  /// (recover_ms against updates_per_s).
   int snapshot_threshold = 8;
 
   /// Epoch-construction knobs, passed through to DeltaBuilder. The

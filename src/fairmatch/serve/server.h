@@ -107,7 +107,7 @@ struct ServerOptions {
   int health_threshold = 0;
 
   /// Deterministic storage-fault schedule applied to every attempt's
-  /// lane-workspace disk (chaos testing / the fault_recovery bench).
+  /// lane-workspace disk (the chaos suite, ctest label `chaos`).
   /// Inactive (all-zero rates) by default: no injector is attached and
   /// per-page CRC verification stays off.
   FaultInjectorOptions fault_plan;

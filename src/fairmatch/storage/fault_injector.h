@@ -7,7 +7,7 @@
 // (seed, access index, decision stream): the schedule is reproducible —
 // re-running the same single-lane access sequence against the same seed
 // injects exactly the same faults. That determinism is what the chaos
-// suite and the fault_recovery bench figure build on: the serving layer
+// suite (tests/chaos_test.cc) builds on: the serving layer
 // seeds one injector per (request, attempt), so fault and retry counts
 // are invariant under lane count and completion order.
 //

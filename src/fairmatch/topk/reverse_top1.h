@@ -212,45 +212,6 @@ class ReverseTop1State {
 
 };
 
-/// Arena of recycled ReverseTop1State buffers. SB churns one state per
-/// skyline object: objects leave when fully assigned and new skyline
-/// members appear every loop, so without recycling each arrival
-/// re-grows a queue, a seen map and the per-dim caches through the
-/// allocator. Releasing a retired object's state parks its buffers
-/// here; acquiring moves them to the next arrival. A recycled state is
-/// observably identical to a default-constructed one (see
-/// ReverseTop1State::Recycle), so search results are unchanged.
-class ReverseTop1StatePool {
- public:
-  /// A state ready for first use: recycled buffers when available.
-  ReverseTop1State Acquire() {
-    if (free_.empty()) return ReverseTop1State();
-    ReverseTop1State state = std::move(free_.back());
-    free_.pop_back();
-    return state;
-  }
-
-  /// Parks a retired state's buffers for reuse.
-  void Release(ReverseTop1State&& state) {
-    state.Recycle();
-    free_.push_back(std::move(state));
-  }
-
-  /// Bytes parked in the freelist (memory-usage metric).
-  size_t memory_bytes() const {
-    size_t bytes = free_.capacity() * sizeof(ReverseTop1State);
-    for (const ReverseTop1State& s : free_) {
-      bytes += s.memory_bytes() - sizeof(ReverseTop1State);
-    }
-    return bytes;
-  }
-
-  size_t size() const { return free_.size(); }
-
- private:
-  std::vector<ReverseTop1State> free_;
-};
-
 /// Reverse top-1 searcher over one function index.
 class ReverseTop1 {
  public:

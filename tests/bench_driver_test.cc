@@ -75,7 +75,6 @@ TEST_F(BenchDriverTest, RegistryHasAllBuiltinFigures) {
   const std::vector<std::string> expected = {
       "ablation_sb",
       "batch_throughput",
-      "fault_recovery",
       "fig08_optimizations",
       "fig09_dimensionality",
       "fig10_function_cardinality",
@@ -90,13 +89,13 @@ TEST_F(BenchDriverTest, RegistryHasAllBuiltinFigures) {
       "fig17_disk_functions",
       "micro_bbs",
       "micro_buffer_pool",
+      "micro_candidate_queue",
       "micro_packed_probe",
+      "micro_ranked_search",
       "micro_reverse_top1",
+      "micro_rtree",
       "micro_simd_score",
-      "recovery_time",
       "scale_sweep",
-      "serving_latency",
-      "update_throughput",
   };
   EXPECT_EQ(FigureRegistry::Global().Names(), expected);
   for (const std::string& name : expected) {
@@ -314,104 +313,6 @@ TEST_F(BenchDriverTest, BatchFlagsPlumbThroughRunDriver) {
     }
   }
   EXPECT_EQ(xs, (std::set<std::string>{"1", "3"}));
-  std::remove(out_path.c_str());
-}
-
-// The serving figure: deterministic columns (io/pairs and the matching
-// digest in loops) must be identical across every lane count and every
-// arrival rate — the same invariant tests/serve_test.cc proves at the
-// engine layer, asserted here on the report surface CI gates on.
-/// Restores the default serving-figure params on scope exit.
-struct ServeParamsGuard {
-  ~ServeParamsGuard() { SetServeBenchParams(ServeBenchParams{}); }
-};
-
-TEST_F(BenchDriverTest, ServingLatencyRowsAreLaneAndRateInvariant) {
-  ServeParamsGuard guard;
-  ServeBenchParams params;
-  params.lanes = {1, 2};
-  params.arrival_per_sec = {500, 2000};
-  params.requests = 9;  // 3 per matcher in the mix
-  SetServeBenchParams(params);
-  const std::vector<ReportRow> rows = RunFigure("serving_latency", 1, {});
-
-  std::map<std::string, std::vector<ReportRow>> by_algo;
-  std::map<std::string, ReportRow> overload;
-  std::set<std::string> sections;
-  for (const ReportRow& row : rows) {
-    EXPECT_EQ(row.figure, "serving_latency");
-    sections.insert(row.section);
-    if (row.section.rfind("rate", 0) == 0) by_algo[row.algorithm].push_back(row);
-    if (row.section == "overload") overload.emplace(row.algorithm, row);
-  }
-  EXPECT_EQ(sections, (std::set<std::string>{"rate500", "rate2000", "open",
-                                             "overload"}));
-  const std::set<std::string> expected_algos = {
-      "SB",     "SB:p99",        "SB-Packed", "SB-Packed:p99",
-      "SB-alt", "SB-alt:p99",    "mix:throughput"};
-  for (const auto& [algo, algo_rows] : by_algo) {
-    EXPECT_EQ(expected_algos.count(algo), 1u) << algo;
-    ASSERT_EQ(algo_rows.size(), 4u) << algo;  // 2 rates x 2 lane counts
-    for (const ReportRow& row : algo_rows) {
-      EXPECT_EQ(row.io_accesses, algo_rows[0].io_accesses) << algo;
-      EXPECT_EQ(row.pairs, algo_rows[0].pairs) << algo;
-      EXPECT_EQ(row.loops, algo_rows[0].loops) << algo;
-    }
-    if (algo != "mix:throughput") {
-      EXPECT_GT(algo_rows[0].pairs, 0u) << algo;
-      EXPECT_GT(algo_rows[0].loops, 0) << algo;  // the matching digest
-    }
-  }
-
-  // The overload section's counts are forced by the admission limits
-  // (1 lane held + queue bound 4 + 12-request burst): the outcomes
-  // partition the submitted set and both rejection paths fire.
-  for (const char* name : {"submitted", "ok", "rejected", "deadline"}) {
-    ASSERT_EQ(overload.count(name), 1u) << name;
-  }
-  EXPECT_EQ(overload.at("ok").io_accesses +
-                overload.at("rejected").io_accesses +
-                overload.at("deadline").io_accesses,
-            overload.at("submitted").io_accesses);
-  EXPECT_GT(overload.at("rejected").io_accesses, 0);
-  EXPECT_GT(overload.at("deadline").io_accesses, 0);
-}
-
-// End-to-end plumbing of the --serve-lanes/--arrival/--requests flags:
-// DriverOptions -> SetServeBenchParams -> figure expansion -> CSV rows.
-TEST_F(BenchDriverTest, ServeFlagsPlumbThroughRunDriver) {
-  ServeParamsGuard guard;
-  const std::string out_path =
-      ::testing::TempDir() + "/fairmatch_serve_flags.csv";
-  DriverOptions options;
-  options.figures = {"serving_latency"};
-  options.scale = "smoke";
-  options.format = "csv";
-  options.out_path = out_path;
-  options.serve_lanes = {1, 3};
-  options.arrival_per_sec = {1000};
-  options.serve_requests = 6;
-  ASSERT_EQ(RunDriver(options), 0);
-
-  std::ifstream in(out_path);
-  ASSERT_TRUE(in.is_open());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::vector<std::string> lines = SplitLines(buffer.str());
-  // header + 2 lane cells x 7 rate rows + 2 open rows + 4 overload rows
-  ASSERT_EQ(lines.size(), 1u + 2 * 7 + 2 + 4);
-  EXPECT_EQ(lines[0], CsvHeader());
-  std::set<std::string> rate_xs;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::vector<std::string> f = SplitFields(lines[i]);
-    ASSERT_EQ(f.size(), 14u) << lines[i];
-    EXPECT_EQ(f[0], "serving_latency");
-    if (f[1] == "rate1000") rate_xs.insert(f[2]);
-    for (int n = 4; n <= 11; ++n) {
-      EXPECT_TRUE(NonNegativeNumber(f[n])) << lines[i];
-    }
-  }
-  EXPECT_EQ(rate_xs, (std::set<std::string>{"1", "3"}));
   std::remove(out_path.c_str());
 }
 

@@ -439,6 +439,47 @@ TEST(ReplayTest, RejectedBatchesAreLoggedAndRereJectedIdentically) {
   RemoveRecoveryDir(dir);
 }
 
+// The builder checkpoints after every snapshot_threshold-th record, so
+// a clean restart replays exactly the records since the last
+// checkpoint: steps % threshold of them, or every step when the
+// threshold is never reached.
+TEST(ReplayTest, ReplayedSuffixFollowsTheSnapshotThreshold) {
+  struct Case {
+    int steps;
+    int threshold;
+    int64_t replayed;
+  };
+  const Case cases[] = {
+      {3, 1 << 20, 3}, {6, 1 << 20, 6},  // snapshots disabled: all replay
+      {6, 4, 2},       {6, 5, 1},        // a checkpoint cuts the suffix
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("steps " + std::to_string(c.steps) + " threshold " +
+                 std::to_string(c.threshold));
+    TraceSpec spec;
+    spec.steps = c.steps;
+    spec.snapshot_threshold = c.threshold;
+    const TraceOracle oracle = BuildTraceOracle(spec);
+    const std::string dir = MakeRecoveryDir("recovery_suffix");
+    int64_t last_completed = 0;
+    RunCrashTrace(dir, oracle, c.threshold, nullptr, &last_completed);
+    ASSERT_EQ(last_completed, oracle.final_epoch);
+
+    std::unique_ptr<DurableBuilder> builder;
+    RecoveryStats stats;
+    ASSERT_TRUE(DurableBuilder::Recover(
+                    MakeDurableOptions(dir, c.threshold, nullptr), &builder,
+                    &stats)
+                    .ok());
+    EXPECT_EQ(stats.wal_records_replayed, c.replayed);
+    EXPECT_EQ(builder->epoch(), oracle.final_epoch);
+    EXPECT_EQ(StateFingerprint(*builder->current()),
+              oracle.expected.at(oracle.final_epoch));
+    builder.reset();
+    RemoveRecoveryDir(dir);
+  }
+}
+
 // --- the batch codec round-trips exactly -----------------------------
 
 TEST(BatchCodecTest, RoundTripsEveryFieldAndRejectsDamage) {

@@ -272,6 +272,15 @@ void RunTrace(uint64_t seed, bool packed_mmap) {
     Status status = builder.Apply(batch, &stats);
     ASSERT_TRUE(status.ok()) << status.message;
     ASSERT_EQ(stats.epoch, builder.current()->epoch());
+    // The apply did the batch's work: every object update reached the
+    // R-tree as at least one node-level edit.
+    EXPECT_EQ(stats.objects_inserted,
+              static_cast<int>(batch.insert_objects.size()));
+    EXPECT_EQ(stats.objects_deleted,
+              static_cast<int>(batch.delete_objects.size()));
+    EXPECT_GT(stats.objects_inserted + stats.objects_deleted, 0);
+    EXPECT_GE(stats.tree_ops,
+              stats.objects_inserted + stats.objects_deleted);
     VerifyEpochAgainstRebuild(*builder.current());
     if (::testing::Test::HasFailure()) return;
   }
